@@ -9,8 +9,8 @@
 // the ON-mode primitives: a cached-handle counter add is an integer
 // increment, a histogram observe is ~a dozen ns (bucket search + three P²
 // updates), registry lookups are string-keyed map walks meant for
-// construction time only, and a category-masked-out trace instant costs
-// one predictable branch.
+// construction time only, and an emitted event costs a flight-ring store
+// plus, with a log installed, one mask test (and an append if logged).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -102,30 +102,23 @@ void BM_RegistryLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistryLookup);
 
-void BM_TraceInstantEnabled(benchmark::State& state) {
-#ifndef PHI_TELEMETRY_OFF
-  telemetry::TraceSink sink(telemetry::kAllCategories,
-                            /*max_events=*/1 << 20);
-  telemetry::set_tracer(&sink);
-#endif
+// An untraced event whose category the installed log records: a flight
+// ring store plus an append.
+void BM_EmitInstantLogged(benchmark::State& state) {
+  telemetry::SpanLog log(0, 0, /*capacity=*/1 << 20,
+                         telemetry::kAllCategories);
+  telemetry::set_spans(&log);
   util::Time ts = 0;
   for (auto _ : state) {
-    if (auto* t = telemetry::tracer();
-        t && t->enabled(telemetry::Category::kBench)) {
-      t->instant(telemetry::Category::kBench, "bench.tick", ts += 100,
-                 {telemetry::targ("i", 1.0)});
-    }
-#ifndef PHI_TELEMETRY_OFF
-    if (sink.events().size() >= (1u << 20) - 1) sink.clear();
-#endif
+    telemetry::instant(telemetry::Category::kBench, 0, "bench.tick",
+                       ts += 100, "i", 1.0);
+    if (log.events().size() >= (1u << 20) - 1) log.clear();
   }
-#ifndef PHI_TELEMETRY_OFF
-  telemetry::set_tracer(nullptr);
-#endif
+  telemetry::set_spans(nullptr);
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(kMode);
 }
-BENCHMARK(BM_TraceInstantEnabled);
+BENCHMARK(BM_EmitInstantLogged);
 
 // Causal-span overhead on the end-to-end packet path: the same TCP
 // transfer as micro_components' BM_EndToEndPacketTransit, run three
@@ -187,27 +180,23 @@ BENCHMARK(BM_EndToEndPacketTransitSpans)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-// A category the mask filters out: the guard is one load + branch.
-void BM_TraceInstantMaskedOut(benchmark::State& state) {
-#ifndef PHI_TELEMETRY_OFF
-  telemetry::TraceSink sink(telemetry::mask_of(telemetry::Category::kTcp));
-  telemetry::set_tracer(&sink);
-#endif
+// A category the log's mask filters out: the flight ring store plus one
+// load and branch.
+void BM_EmitInstantMaskedOut(benchmark::State& state) {
+  telemetry::SpanLog log(0, 0, /*capacity=*/0,
+                         telemetry::mask_of(telemetry::Category::kTcp));
+  telemetry::set_spans(&log);
   util::Time ts = 0;
   for (auto _ : state) {
-    if (auto* t = telemetry::tracer();
-        t && t->enabled(telemetry::Category::kBench)) {
-      t->instant(telemetry::Category::kBench, "bench.tick", ts += 100);
-    }
+    telemetry::instant(telemetry::Category::kBench, 0, "bench.tick",
+                       ts += 100);
     benchmark::DoNotOptimize(ts);
   }
-#ifndef PHI_TELEMETRY_OFF
-  telemetry::set_tracer(nullptr);
-#endif
+  telemetry::set_spans(nullptr);
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(kMode);
 }
-BENCHMARK(BM_TraceInstantMaskedOut);
+BENCHMARK(BM_EmitInstantMaskedOut);
 
 }  // namespace
 

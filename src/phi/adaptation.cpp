@@ -31,10 +31,10 @@ void DupAckThresholdAdvisor::record_connection(PathKey path,
   ++c.total;
   if (saw_spurious) ++c.reordered;
   if (at >= 0 && trace != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->point(trace, "adapt.dupack_record", at, "spurious",
-                saw_spurious ? 1.0 : 0.0, "prevalence", prevalence(path));
-    }
+    telemetry::instant(telemetry::Category::kContext, trace,
+                       "adapt.dupack_record", at, "spurious",
+                       saw_spurious ? 1.0 : 0.0, "prevalence",
+                       prevalence(path));
   }
 }
 
@@ -57,11 +57,10 @@ int DupAckThresholdAdvisor::recommend(PathKey path, util::Time at,
       k = cfg_.base_threshold + 1;
   }
   if (at >= 0 && trace != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->point(trace, "adapt.dupack_recommend", at, "threshold",
-                static_cast<double>(k), "support",
-                static_cast<double>(support(path)));
-    }
+    telemetry::instant(telemetry::Category::kContext, trace,
+                       "adapt.dupack_recommend", at, "threshold",
+                       static_cast<double>(k), "support",
+                       static_cast<double>(support(path)));
   }
   return k;
 }

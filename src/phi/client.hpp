@@ -39,13 +39,14 @@ class PhiCubicAdvisor : public tcp::ConnectionAdvisor {
     // parameters, closing the server's recommendation arrow. The very
     // next span on this track is tcp.conn_start with the adopted cwnd.
     if (req.trace != 0) {
-      if (auto* sl = telemetry::spans()) {
-        const util::Time now = clock_();
-        sl->span(req.trace, "phi.adopt", now, now + 1000, "recommended",
-                 reply.has_recommendation ? 1.0 : 0.0, "window_init",
-                 static_cast<double>(params.window_init));
-        if (reply.span_bind != 0)
-          sl->flow_in(req.trace, "phi.adopt", now, reply.span_bind);
+      const util::Time now = clock_();
+      telemetry::span(telemetry::Category::kContext, req.trace, "phi.adopt",
+                      now, now + 1000, "recommended",
+                      reply.has_recommendation ? 1.0 : 0.0, "window_init",
+                      static_cast<double>(params.window_init));
+      if (reply.span_bind != 0) {
+        telemetry::flow_in(telemetry::Category::kContext, req.trace,
+                           "phi.adopt", now, reply.span_bind);
       }
     }
   }
@@ -66,13 +67,13 @@ class PhiCubicAdvisor : public tcp::ConnectionAdvisor {
     // First hop of the causal chain: the experience report leaves the
     // client, arrow open for the server's aggregation span to close.
     if (r.trace != 0) {
-      if (auto* sl = telemetry::spans()) {
-        sl->span(r.trace, "phi.report", s.end, s.end + 1000, "bytes",
-                 static_cast<double>(r.bytes), "retx_rate",
-                 r.retransmit_rate);
-        r.bind = sl->next_bind();
-        sl->flow_out(r.trace, "phi.report", s.end, r.bind);
-      }
+      telemetry::span(telemetry::Category::kContext, r.trace, "phi.report",
+                      s.end, s.end + 1000, "bytes",
+                      static_cast<double>(r.bytes), "retx_rate",
+                      r.retransmit_rate);
+      r.bind = telemetry::next_bind();
+      telemetry::flow_out(telemetry::Category::kContext, r.trace,
+                          "phi.report", s.end, r.bind);
     }
     server_.report(r);
   }

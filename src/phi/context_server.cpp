@@ -75,13 +75,9 @@ std::size_t ContextServer::sweep_leases(PathState& st,
     st.senders.force(static_cast<double>(st.active.size()));
     expired_leases_ += expired;
     ctr_lease_expiries_->add(expired);
-    if (auto* t = telemetry::tracer();
-        t && t->enabled(telemetry::Category::kContext)) {
-      t->instant(telemetry::Category::kContext, "ctx.lease_expiry", now,
-                 {telemetry::targ("expired", static_cast<double>(expired)),
-                  telemetry::targ("surviving",
-                                  static_cast<double>(st.active.size()))});
-    }
+    telemetry::instant(telemetry::Category::kContext, 0, "ctx.lease_expiry",
+                       now, "expired", static_cast<double>(expired),
+                       "surviving", static_cast<double>(st.active.size()));
   }
   return expired;
 }
@@ -134,13 +130,9 @@ LookupReply ContextServer::lookup(const LookupRequest& req) {
   st.active[req.sender_id] = lease_deadline(now);
   ctr_lease_grants_->add();
   st.senders.add(static_cast<double>(st.active.size()));
-  if (auto* t = telemetry::tracer();
-      t && t->enabled(telemetry::Category::kContext)) {
-    t->instant(telemetry::Category::kContext, "ctx.lookup", now,
-               {telemetry::targ("path", static_cast<double>(req.path)),
-                telemetry::targ("active",
-                                static_cast<double>(st.active.size()))});
-  }
+  telemetry::instant(telemetry::Category::kContext, 0, "ctx.lookup", now,
+                     "path", static_cast<double>(req.path), "active",
+                     static_cast<double>(st.active.size()));
 
   LookupReply reply;
   reply.context = context(req.path);
@@ -157,17 +149,17 @@ LookupReply ContextServer::lookup(const LookupRequest& req) {
   // this recommendation; the outbound arrow is closed by the client's
   // adoption span (reply.span_bind).
   if (req.trace != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->span(req.trace, "ctx.recommend", now, now + 1000, "version",
-               static_cast<double>(version_), "recommended",
-               reply.has_recommendation ? 1.0 : 0.0);
-      if (last_report_bind_ != 0) {
-        sl->flow_in(req.trace, "ctx.recommend", now, last_report_bind_);
-        last_report_bind_ = 0;
-      }
-      reply.span_bind = sl->next_bind();
-      sl->flow_out(req.trace, "ctx.recommend", now, reply.span_bind);
+    telemetry::span(telemetry::Category::kContext, req.trace, "ctx.recommend",
+                    now, now + 1000, "version", static_cast<double>(version_),
+                    "recommended", reply.has_recommendation ? 1.0 : 0.0);
+    if (last_report_bind_ != 0) {
+      telemetry::flow_in(telemetry::Category::kContext, req.trace,
+                         "ctx.recommend", now, last_report_bind_);
+      last_report_bind_ = 0;
     }
+    reply.span_bind = telemetry::next_bind();
+    telemetry::flow_out(telemetry::Category::kContext, req.trace,
+                        "ctx.recommend", now, reply.span_bind);
   }
   return reply;
 }
@@ -178,12 +170,9 @@ void ContextServer::report(const Report& r) {
     // window and estimates; absorbing it again would double-count.
     ++duplicate_reports_;
     ctr_dup_reports_->add();
-    if (auto* t = telemetry::tracer();
-        t && t->enabled(telemetry::Category::kContext)) {
-      t->instant(telemetry::Category::kContext, "ctx.duplicate_report",
-                 now_or(r.ended),
-                 {telemetry::targ("path", static_cast<double>(r.path))});
-    }
+    telemetry::instant(telemetry::Category::kContext, 0,
+                       "ctx.duplicate_report", now_or(r.ended), "path",
+                       static_cast<double>(r.path));
     return;
   }
   ++reports_;
@@ -194,22 +183,21 @@ void ContextServer::report(const Report& r) {
   const util::Time now = now_or(r.ended);
   g_version_->set(static_cast<double>(version_));
   ts_version_->sample(util::to_seconds(now), static_cast<double>(version_));
-  telemetry::flight().note(telemetry::Category::kContext, "ctx.report", now,
-                           static_cast<double>(r.path),
-                           static_cast<double>(version_));
   // Causal chain, first server hop: the aggregation span sits on the
   // reporting flow's track, closes the client's "phi.report" arrow
   // (r.bind) and opens a fresh arrow for the next traced lookup to
   // consume — report -> aggregate -> recommend -> adopt.
+  telemetry::span(telemetry::Category::kContext, r.trace, "ctx.aggregate",
+                  now, now + 1000, "bytes", static_cast<double>(r.bytes),
+                  "version", static_cast<double>(version_));
   if (r.trace != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->span(r.trace, "ctx.aggregate", now, now + 1000, "bytes",
-               static_cast<double>(r.bytes), "version",
-               static_cast<double>(version_));
-      if (r.bind != 0) sl->flow_in(r.trace, "ctx.aggregate", now, r.bind);
-      last_report_bind_ = sl->next_bind();
-      sl->flow_out(r.trace, "ctx.aggregate", now, last_report_bind_);
+    if (r.bind != 0) {
+      telemetry::flow_in(telemetry::Category::kContext, r.trace,
+                         "ctx.aggregate", now, r.bind);
     }
+    last_report_bind_ = telemetry::next_bind();
+    telemetry::flow_out(telemetry::Category::kContext, r.trace,
+                        "ctx.aggregate", now, last_report_bind_);
   }
   sweep_leases(st, now);
   if (r.kind == Report::Kind::kFinal) {
@@ -357,14 +345,10 @@ bool ContextServer::restore_state(const std::string& text) {
   last_message_at_ = last_at;
   version_ = version;
   ctr_snapshot_restores_->add();
-  if (auto* t = telemetry::tracer();
-      t && t->enabled(telemetry::Category::kContext)) {
-    t->instant(telemetry::Category::kContext, "ctx.snapshot_restore",
-               last_message_at_,
-               {telemetry::targ("paths", static_cast<double>(paths_.size())),
-                telemetry::targ("version",
-                                static_cast<double>(version_))});
-  }
+  telemetry::instant(telemetry::Category::kContext, 0,
+                     "ctx.snapshot_restore", last_message_at_, "paths",
+                     static_cast<double>(paths_.size()), "version",
+                     static_cast<double>(version_));
   return true;
 }
 

@@ -21,11 +21,7 @@ FaultInjector::FaultInjector(sim::Scheduler& sched, ContextServer& server,
 void FaultInjector::trace_fault(const char* name) const {
   // Every fired fault lands in the flight recorder; arming it on kFault
   // turns any injected fault into an automatic ring-buffer dump.
-  telemetry::flight().note(telemetry::Category::kFault, name, sched_.now());
-  if (auto* t = telemetry::tracer();
-      t && t->enabled(telemetry::Category::kFault)) {
-    t->instant(telemetry::Category::kFault, name, sched_.now());
-  }
+  telemetry::instant(telemetry::Category::kFault, 0, name, sched_.now());
 }
 
 std::optional<LookupReply> FaultInjector::lookup(const LookupRequest& req) {

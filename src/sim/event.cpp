@@ -476,12 +476,9 @@ void Scheduler::maybe_compact() {
   entries_ -= removed;
   ctr_compactions_->add();
   entries_gauge_->set(static_cast<double>(entries_));
-  if (auto* t = telemetry::tracer();
-      t && t->enabled(telemetry::Category::kScheduler)) {
-    t->instant(telemetry::Category::kScheduler, "sched.compact", now_,
-               {telemetry::targ("before", static_cast<double>(before)),
-                telemetry::targ("after", static_cast<double>(entries_))});
-  }
+  telemetry::instant(telemetry::Category::kScheduler, 0, "sched.compact",
+                     now_, "before", static_cast<double>(before), "after",
+                     static_cast<double>(entries_));
 }
 
 bool Scheduler::dispatch(const Entry& e) {
@@ -589,12 +586,16 @@ std::uint64_t Scheduler::run_until_profiled(Time horizon) {
   std::array<PacketHandle, kMaxBatch> burst;
   for (;;) {
     if (due_empty()) {
-      // Wheel scans are rare relative to events (one refill drains a
-      // whole bucket), so every advance() is timed, not sampled.
-      const std::uint64_t t0 = telemetry::profile_clock_ns();
+      // Sampled like every other section: a refill often drains only
+      // one or two events, so advances are about as frequent as events.
+      const bool timed = prof.gate(Prof::kWheelAdvance);
+      const std::uint64_t t0 = timed ? telemetry::profile_clock_ns() : 0;
       const bool more = advance(limit_tick);
       prof.count(Prof::kWheelAdvance);
-      prof.add_time(Prof::kWheelAdvance, telemetry::profile_clock_ns() - t0);
+      if (timed) {
+        prof.add_time(Prof::kWheelAdvance,
+                      telemetry::profile_clock_ns() - t0);
+      }
       if (!more) break;
     }
     const Entry e = due_front();
@@ -618,7 +619,7 @@ std::uint64_t Scheduler::run_until_profiled(Time horizon) {
       executed_ += count;
       live_count_ -= count;
       ran += count;
-      const bool timed = prof.gate();
+      const bool timed = prof.gate(Prof::kDelivery);
       const std::uint64_t t0 = timed ? telemetry::profile_clock_ns() : 0;
       if (count == 1) {
         detail::link_deliver(*entry_link(e), pool_, e.packet);
@@ -638,7 +639,7 @@ std::uint64_t Scheduler::run_until_profiled(Time horizon) {
       ++executed_;
       --live_count_;
       ++ran;
-      const bool timed = prof.gate();
+      const bool timed = prof.gate(Prof::kTxComplete);
       const std::uint64_t t0 = timed ? telemetry::profile_clock_ns() : 0;
       detail::link_tx_complete(*entry_link(e));
       prof.count(Prof::kTxComplete);
@@ -657,7 +658,7 @@ std::uint64_t Scheduler::run_until_profiled(Time horizon) {
     now_ = e.time;
     ++executed_;
     ++ran;
-    const bool timed = prof.gate();
+    const bool timed = prof.gate(Prof::kCallback);
     const std::uint64_t t0 = timed ? telemetry::profile_clock_ns() : 0;
     fn();
     prof.count(Prof::kCallback);

@@ -80,15 +80,10 @@ void Link::send(const Packet& p) {
   if (!up_) {
     ++outage_drops_;
     ctr_outage_drops_->add();
-    telemetry::flight().note(telemetry::Category::kLink, "link.outage_drop",
-                             sched_->now(),
-                             static_cast<double>(p.flow),
-                             static_cast<double>(p.seq));
-    if (auto* t = telemetry::tracer();
-        t && t->enabled(telemetry::Category::kLink)) {
-      t->instant(telemetry::Category::kLink, "link.outage_drop",
-                 sched_->now(), {telemetry::targ("link", name_)});
-    }
+    telemetry::instant(telemetry::Category::kLink, 0, "link.outage_drop",
+                       sched_->now(), "node",
+                       static_cast<double>(dst_.id()), "flow",
+                       static_cast<double>(p.flow));
     return;
   }
   const PacketHandle h = pool_->acquire(p);
@@ -100,24 +95,10 @@ void Link::send(const Packet& p) {
       // registry counter and trace event make it visible fleet-wide.
       pool_->release(h);
       ctr_drops_->add();
-      telemetry::flight().note(telemetry::Category::kLink, "link.drop",
-                               sched_->now(), static_cast<double>(p.flow),
-                               static_cast<double>(queue_->bytes()));
-      if (p.trace != 0) {
-        if (auto* sl = telemetry::spans()) {
-          sl->point(p.trace, "link.drop", sched_->now(), "seq",
-                    static_cast<double>(p.seq), "queue_bytes",
-                    static_cast<double>(queue_->bytes()));
-        }
-      }
-      if (auto* t = telemetry::tracer();
-          t && t->enabled(telemetry::Category::kLink)) {
-        t->instant(
-            telemetry::Category::kLink, "link.drop", sched_->now(),
-            {telemetry::targ("link", name_),
-             telemetry::targ("queue_bytes",
-                             static_cast<double>(queue_->bytes()))});
-      }
+      telemetry::instant(telemetry::Category::kLink, p.trace, "link.drop",
+                         sched_->now(), "seq", static_cast<double>(p.seq),
+                         "queue_bytes",
+                         static_cast<double>(queue_->bytes()));
     }
     occupancy_dirty_ = true;
     return;
@@ -147,12 +128,10 @@ void Link::start_transmission(PacketHandle h) {
   // propagation (+ jitter); the full duration is known here, before the
   // delivery event even fires, so the span is emitted at schedule time.
   if (p.trace != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->span(p.trace, "link.transit", sched_->now(),
-               sched_->now() + tx + prop_delay_ + extra, "seq",
-               static_cast<double>(p.seq), "bytes",
-               static_cast<double>(p.size_bytes));
-    }
+    telemetry::span(telemetry::Category::kLink, p.trace, "link.transit",
+                    sched_->now(), sched_->now() + tx + prop_delay_ + extra,
+                    "seq", static_cast<double>(p.seq), "bytes",
+                    static_cast<double>(p.size_bytes));
   }
   if (boundary_ == nullptr) {
     sched_->schedule_delivery_in(tx + prop_delay_ + extra, *this, h);
@@ -175,11 +154,9 @@ void Link::complete_delivery(PacketPool& pool, PacketHandle h) {
   // Untraced packets (trace == 0, i.e. everything unless a SpanLog is
   // installed) pay a single never-taken branch.
   if (p.trace != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->point(p.trace, "node.deliver", sched_->now(), "node",
-                static_cast<double>(dst_.id()), "seq",
-                static_cast<double>(p.seq));
-    }
+    telemetry::instant(telemetry::Category::kLink, p.trace, "node.deliver",
+                       sched_->now(), "node", static_cast<double>(dst_.id()),
+                       "seq", static_cast<double>(p.seq));
   }
   dst_.deliver(p);
   pool.release(h);
@@ -191,11 +168,10 @@ void Link::complete_delivery_burst(PacketPool& pool, const PacketHandle* hs,
     if (i + 1 < n) pool.prefetch(hs[i + 1]);
     const Packet& p = pool.get(hs[i]);
     if (p.trace != 0) {
-      if (auto* sl = telemetry::spans()) {
-        sl->point(p.trace, "node.deliver", sched_->now(), "node",
-                  static_cast<double>(dst_.id()), "seq",
-                  static_cast<double>(p.seq));
-      }
+      telemetry::instant(telemetry::Category::kLink, p.trace, "node.deliver",
+                         sched_->now(), "node",
+                         static_cast<double>(dst_.id()), "seq",
+                         static_cast<double>(p.seq));
     }
     dst_.deliver(p);
     pool.release(hs[i]);
@@ -218,11 +194,10 @@ void Link::complete_transmission() {
   {
     const Packet& qp = pool_->get(next.handle);
     if (qp.trace != 0) {
-      if (auto* sl = telemetry::spans()) {
-        sl->span(qp.trace, "queue.wait", next.enqueued_at, sched_->now(),
-                 "seq", static_cast<double>(qp.seq), "queue_bytes",
-                 static_cast<double>(queue_->bytes()));
-      }
+      telemetry::span(telemetry::Category::kQueue, qp.trace, "queue.wait",
+                      next.enqueued_at, sched_->now(), "seq",
+                      static_cast<double>(qp.seq), "queue_bytes",
+                      static_cast<double>(queue_->bytes()));
     }
   }
   occupancy_dirty_ = true;

@@ -66,14 +66,12 @@ void LinkMonitor::sample() {
   util_gauge_->set(last_util_);
   occ_gauge_->set(occ);
   util_hist_->observe(last_util_);
-  if (auto* t = telemetry::tracer();
-      t && t->enabled(telemetry::Category::kLink)) {
-    // Chrome "C" counter events render as stacked per-link tracks.
-    const util::Time now = sched_->now();
-    t->counter(telemetry::Category::kLink, "monitor.utilization", now,
-               last_util_);
-    t->counter(telemetry::Category::kLink, "monitor.occupancy", now, occ);
-  }
+  // Chrome "C" counter events render as time-series tracks.
+  const util::Time now = sched_->now();
+  telemetry::counter(telemetry::Category::kLink, "monitor.utilization", now,
+                     last_util_);
+  telemetry::counter(telemetry::Category::kLink, "monitor.occupancy", now,
+                     occ);
 }
 
 double LinkMonitor::recent_utilization() const noexcept {

@@ -46,20 +46,14 @@ bool RedQueue::enqueue(PacketPool& pool, PacketHandle h, util::Time now) {
         p.ce = true;
         ++marks_;
         ctr_marks_->add();
-        if (auto* t = telemetry::tracer();
-            t && t->enabled(telemetry::Category::kQueue)) {
-          t->instant(telemetry::Category::kQueue, "red.mark", now,
-                     {telemetry::targ("avg_bytes", avg_)});
-        }
+        telemetry::instant(telemetry::Category::kQueue, 0, "red.mark", now,
+                           "avg_bytes", avg_);
         return q_.enqueue(pool, h, now);
       }
       // Early drop: account it as a drop in the underlying stats.
       ctr_early_drops_->add();
-      if (auto* t = telemetry::tracer();
-          t && t->enabled(telemetry::Category::kQueue)) {
-        t->instant(telemetry::Category::kQueue, "red.early_drop", now,
-                   {telemetry::targ("avg_bytes", avg_)});
-      }
+      telemetry::instant(telemetry::Category::kQueue, 0, "red.early_drop",
+                         now, "avg_bytes", avg_);
       return q_.enqueue_drop(p);
     }
   }

@@ -28,26 +28,12 @@ TcpSender::TcpSender(sim::Scheduler& sched, sim::Node& local,
 }
 
 void TcpSender::trace_state(const char* name) const {
-  // State transitions are rare; keep them in the flight recorder so a
+  // State transitions are rare; the flight recorder keeps them so a
   // post-mortem of e.g. an RTO storm has the recent TCP history. `name`
-  // is a string literal at every call site (the recorder stores the
-  // pointer).
-  telemetry::flight().note(telemetry::Category::kTcp, name, sched_.now(),
-                           cc_->window(), static_cast<double>(flow_));
-  if (trace_tag_ != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->point(trace_tag_, name, sched_.now(), "cwnd", cc_->window(),
-                "inflight", static_cast<double>(snd_nxt_ - snd_una_));
-    }
-  }
-  if (auto* t = telemetry::tracer();
-      t && t->enabled(telemetry::Category::kTcp)) {
-    t->instant(telemetry::Category::kTcp, name, sched_.now(),
-               {telemetry::targ("cwnd", cc_->window()),
-                telemetry::targ("inflight",
-                                static_cast<double>(snd_nxt_ - snd_una_))},
-               static_cast<std::uint32_t>(flow_));
-  }
+  // is a string literal at every call site (events store the pointer).
+  telemetry::instant(telemetry::Category::kTcp, trace_tag_, name,
+                     sched_.now(), "cwnd", cc_->window(), "inflight",
+                     static_cast<double>(snd_nxt_ - snd_una_));
 }
 
 TcpSender::~TcpSender() {
@@ -353,26 +339,10 @@ void TcpSender::finish() {
   ctr_conns_done_->add();
   // One complete span for the whole connection, closing the causal
   // chain: adopt -> conn_start -> ... -> conn span end.
-  if (trace_tag_ != 0) {
-    if (auto* sl = telemetry::spans()) {
-      sl->span(trace_tag_, "tcp.conn", stats_.start, stats_.end, "segments",
-               static_cast<double>(stats_.segments), "retransmits",
-               static_cast<double>(stats_.retransmits));
-    }
-  }
-  telemetry::flight().note(telemetry::Category::kTcp, "tcp.conn_done",
-                           sched_.now(),
-                           static_cast<double>(stats_.segments),
-                           static_cast<double>(stats_.retransmits));
-  if (auto* t = telemetry::tracer();
-      t && t->enabled(telemetry::Category::kTcp)) {
-    t->instant(telemetry::Category::kTcp, "tcp.conn_done", sched_.now(),
-               {telemetry::targ("segments",
-                                static_cast<double>(stats_.segments)),
-                telemetry::targ("retransmits",
-                                static_cast<double>(stats_.retransmits))},
-               static_cast<std::uint32_t>(flow_));
-  }
+  telemetry::span(telemetry::Category::kTcp, trace_tag_, "tcp.conn",
+                  stats_.start, stats_.end, "segments",
+                  static_cast<double>(stats_.segments), "retransmits",
+                  static_cast<double>(stats_.retransmits));
   if (done_) {
     // Move the callback out first: it commonly starts the next connection,
     // which overwrites done_.

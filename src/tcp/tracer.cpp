@@ -43,11 +43,8 @@ void SenderTracer::arm() {
     cwnd_gauge_->set(s.cwnd);
     srtt_gauge_->set(s.srtt_s * 1e3);
     inflight_gauge_->set(static_cast<double>(s.inflight));
-    if (auto* t = telemetry::tracer();
-        t && t->enabled(telemetry::Category::kTcp)) {
-      t->counter(telemetry::Category::kTcp, "tracer.cwnd", s.t, s.cwnd,
-                 static_cast<std::uint32_t>(sender_.flow()));
-    }
+    telemetry::counter(telemetry::Category::kTcp, "tracer.cwnd", s.t,
+                       s.cwnd);
     arm();
   });
 }

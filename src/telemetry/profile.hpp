@@ -3,9 +3,10 @@
 // run_until spends its wall-clock time, split by event-loop section:
 // timing-wheel advance/scan, delivery bursts, tx-complete events, and
 // scheduled callbacks (TCP timers, apps, probes). Event counts are
-// exact; wall-clock is *sampled* — one event in kSampleStride is timed
-// with steady_clock — so the measurement itself stays cheap enough to
-// leave on during benchmarks. Wall-clock never feeds back into
+// exact; wall-clock is *sampled* — one event in kSampleStride of each
+// section is timed with steady_clock — so the measurement itself stays
+// cheap enough to leave on during benchmarks, and each section's total
+// is estimated from its own samples. Wall-clock never feeds back into
 // simulated time, so profiling cannot perturb results.
 //
 // Under PHI_TELEMETRY_OFF the class is a stub and the scheduler hook
@@ -38,8 +39,7 @@ class LoopProfile {
     kSectionCount
   };
 
-  /// Time 1 in kSampleStride events; scale sampled time by the stride
-  /// to estimate totals.
+  /// Time 1 in kSampleStride events of each section.
   static constexpr std::uint32_t kSampleStride = 16;
 
   static const char* section_name(unsigned s) noexcept;
@@ -47,8 +47,12 @@ class LoopProfile {
   /// Exact event count for `s` (called on every event).
   void count(unsigned s, std::uint64_t n = 1) noexcept { events_[s] += n; }
 
-  /// Sampling gate: true when this event should be wall-clock timed.
-  bool gate() noexcept { return (++tick_ % kSampleStride) == 0; }
+  /// Sampling gate: true when this event of section `s` should be
+  /// wall-clock timed. Each section keeps its own stride, so a regular
+  /// interleaving of sections cannot starve one of samples.
+  bool gate(unsigned s) noexcept {
+    return (++tick_[s] % kSampleStride) == 0;
+  }
 
   /// Credit `ns` of sampled wall-clock covering `n` events to `s`.
   void add_time(unsigned s, std::uint64_t ns, std::uint64_t n = 1) noexcept {
@@ -65,6 +69,15 @@ class LoopProfile {
   std::uint64_t sampled_ns(unsigned s) const noexcept { return ns_[s]; }
   std::uint64_t wall_ns() const noexcept { return wall_ns_; }
 
+  /// Estimated wall-clock of all of `s`'s events: sampled time scaled by
+  /// events / sampled (0 when the section was never sampled).
+  double estimated_ns(unsigned s) const noexcept {
+    return sampled_[s] > 0 ? static_cast<double>(ns_[s]) *
+                                 static_cast<double>(events_[s]) /
+                                 static_cast<double>(sampled_[s])
+                           : 0.0;
+  }
+
   /// Fold another profile in (counts and times add) — lets parallel
   /// reps aggregate into one table.
   void merge(const LoopProfile& o) noexcept {
@@ -79,13 +92,14 @@ class LoopProfile {
   void reset() noexcept {
     for (unsigned s = 0; s < kSectionCount; ++s) {
       events_[s] = sampled_[s] = ns_[s] = 0;
+      tick_[s] = 0;
     }
     wall_ns_ = 0;
-    tick_ = 0;
   }
 
   /// Human-readable breakdown: per section, exact event count, sampled
-  /// time, estimated ns/event, and share of sampled time.
+  /// time, ns/event, estimated total and its share of the sections'
+  /// sum; then the gap between that sum and the run_until wall.
   std::string table() const;
 
  private:
@@ -93,7 +107,7 @@ class LoopProfile {
   std::uint64_t sampled_[kSectionCount] = {};
   std::uint64_t ns_[kSectionCount] = {};
   std::uint64_t wall_ns_ = 0;
-  std::uint32_t tick_ = 0;
+  std::uint32_t tick_[kSectionCount] = {};
 };
 
 #else  // PHI_TELEMETRY_OFF
@@ -112,13 +126,14 @@ class LoopProfile {
   static constexpr std::uint32_t kSampleStride = 16;
   static const char* section_name(unsigned) noexcept { return ""; }
   void count(unsigned, std::uint64_t = 1) noexcept {}
-  bool gate() noexcept { return false; }
+  bool gate(unsigned) noexcept { return false; }
   void add_time(unsigned, std::uint64_t, std::uint64_t = 1) noexcept {}
   void add_wall(std::uint64_t) noexcept {}
   std::uint64_t events(unsigned) const noexcept { return 0; }
   std::uint64_t sampled(unsigned) const noexcept { return 0; }
   std::uint64_t sampled_ns(unsigned) const noexcept { return 0; }
   std::uint64_t wall_ns() const noexcept { return 0; }
+  double estimated_ns(unsigned) const noexcept { return 0.0; }
   void merge(const LoopProfile&) noexcept {}
   void reset() noexcept {}
   std::string table() const { return {}; }

@@ -33,7 +33,7 @@ class TextTable {
 
 /// Quote a cell per RFC 4180 when it contains commas/quotes/newlines;
 /// returns it untouched otherwise. The single CSV-escape used by every
-/// writer in the repo (tables, tracers, taps, telemetry exporters).
+/// writer in the repo (tables, tracers, telemetry exporters).
 std::string csv_escape(const std::string& cell);
 
 /// Shortest round-trippable rendering of a double ("%g"), matching the

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string_view>
 
 #include <memory>
 #include <vector>
@@ -105,17 +106,18 @@ TEST(ZeroAllocDatapath, ObservabilityOnStaysAllocationFree) {
   // The PR 7 extension of the proof: the same steady-state transit with
   // the full observability stack live — a traced packet recording spans
   // at every hop, a time series sampling each burst, the flight recorder
-  // noting events, and the event loop self-profiling. Span events are
-  // PODs appended into a buffer reserved up front, time-series samples
-  // land in reserved columns, and the recorder's rings are preallocated,
-  // so none of it may touch the heap once warm.
+  // noting events, and the event loop self-profiling. The log also
+  // records every category's untraced events, and the run drives drops
+  // and TCP state changes through it. Events are PODs appended into a
+  // buffer reserved up front, time-series samples land in reserved
+  // columns, and the recorder's rings are preallocated, so none of it
+  // may touch the heap once warm.
   telemetry::SpanLog log(/*sample_one_in=*/1, /*seed=*/0,
-                         /*capacity=*/1 << 17);
+                         /*capacity=*/1 << 17, telemetry::kAllCategories);
   telemetry::set_spans(&log);
   telemetry::LoopProfile prof;
   auto& ts = telemetry::registry().timeseries("alloc_test.queue_bytes");
   ts.reserve(64);
-  telemetry::FlightRecorder& fr = telemetry::flight();
 
   Network net;
   net.scheduler().set_profile(&prof);
@@ -129,6 +131,31 @@ TEST(ZeroAllocDatapath, ObservabilityOnStaysAllocationFree) {
     void on_packet(const Packet&) override { ++n; }
   } sink;
   b.attach(1, &sink);
+
+  // A shallow, slow side link that drops untraced packets every burst.
+  Node& c = net.add_node("c");
+  Link& lossy = net.add_link(a, c, 10.0 * util::kMbps, util::microseconds(10),
+                             3000);
+  a.add_route(c.id(), &lossy);
+  Packet q;
+  q.src = a.id();
+  q.dst = c.id();
+  q.flow = 3;
+
+  // A TCP connection per burst on its own node pair: conn_start state
+  // events and whole-connection spans.
+  Node& d = net.add_node("d");
+  Node& e = net.add_node("e");
+  Link& de = net.add_link(d, e, 1.0 * util::kGbps, util::microseconds(10),
+                          1024 * 1024);
+  Link& ed = net.add_link(e, d, 1.0 * util::kGbps, util::microseconds(10),
+                          1024 * 1024);
+  d.add_route(e.id(), &de);
+  e.add_route(d.id(), &ed);
+  tcp::TcpSink tcp_sink(net.scheduler(), e, /*flow=*/2);
+  tcp::TcpSender sender(net.scheduler(), d, e.id(), /*flow=*/2,
+                        std::make_unique<tcp::Cubic>());
+  int conns_done = 0;
 
   Packet p;
   p.src = a.id();
@@ -146,10 +173,16 @@ TEST(ZeroAllocDatapath, ObservabilityOnStaysAllocationFree) {
       p.seq = i;
       a.send(p);
     }
+    for (int i = 0; i < 8; ++i) a.send(q);
+    sender.start_connection(16,
+                            [&conns_done](const tcp::ConnStats&) {
+                              ++conns_done;
+                            });
     net.run_until(net.now() + util::milliseconds(10));
     ts.sample(util::to_seconds(net.now()),
               static_cast<double>(l.queue().bytes()));
-    fr.note(telemetry::Category::kBench, "alloc_test.burst", net.now());
+    telemetry::instant(telemetry::Category::kBench, 0, "alloc_test.burst",
+                       net.now());
   };
 
   for (int round = 0; round < 4; ++round) burst();  // warm-up
@@ -163,6 +196,8 @@ TEST(ZeroAllocDatapath, ObservabilityOnStaysAllocationFree) {
       g_allocs.load(std::memory_order_relaxed);
 
   EXPECT_EQ(sink.n - delivered_before, 8u * kBatch);
+  EXPECT_EQ(conns_done, 12);
+  EXPECT_GT(lossy.queue().stats().dropped, 0u);
   EXPECT_EQ(allocs_after - allocs_before, 0u);
 #ifndef PHI_TELEMETRY_OFF
   // The instruments really were live: spans recorded (without dropping),
@@ -170,8 +205,17 @@ TEST(ZeroAllocDatapath, ObservabilityOnStaysAllocationFree) {
   EXPECT_GT(log.events().size(), spans_before);
   EXPECT_EQ(log.dropped(), 0u);
   EXPECT_GE(ts.size(), 12u);
-  EXPECT_GE(fr.ring_size(telemetry::Category::kBench), 12u);
+  EXPECT_GE(telemetry::flight().ring_size(telemetry::Category::kBench), 12u);
   EXPECT_GT(prof.events(telemetry::LoopProfile::kDelivery), 0u);
+  bool untraced_drop = false, tcp_state = false;
+  for (std::size_t i = spans_before; i < log.events().size(); ++i) {
+    const telemetry::Event& ev = log.events()[i];
+    const std::string_view name = ev.name;
+    untraced_drop = untraced_drop || (name == "link.drop" && ev.trace == 0);
+    tcp_state = tcp_state || name == "tcp.conn_start";
+  }
+  EXPECT_TRUE(untraced_drop);
+  EXPECT_TRUE(tcp_state);
 #else
   (void)spans_before;
 #endif

@@ -1,8 +1,9 @@
-// The second-generation observability layer: deterministic span
-// sampling, SpanLog recording + Chrome JSON shape, flight-recorder ring
-// semantics and one-shot arming, event-loop self-profiling, time-series
-// merge determinism, and the contract that none of it perturbs the
-// simulation — plus the PHI_TELEMETRY_OFF stubs compiling to no-ops.
+// The observability layer: deterministic span sampling, the event path
+// (emit into the flight recorder and the SpanLog) + Chrome JSON shape,
+// flight-recorder ring semantics and one-shot arming, event-loop
+// self-profiling, time-series merge determinism, and the contract that
+// none of it perturbs the simulation — plus the PHI_TELEMETRY_OFF stubs
+// compiling to no-ops.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -27,6 +28,12 @@ core::ScenarioSpec tiny_dumbbell() {
 }
 
 #ifndef PHI_TELEMETRY_OFF
+
+/// An untraced instant with one arg, as components emit them.
+Event ev(Category c, const char* name, util::Time ts, double a0 = 0.0,
+         std::uint32_t trace = 0) {
+  return Event{c, 'i', trace, 0, ts, ts, name, "a", a0};
+}
 
 // --- Span sampling -----------------------------------------------------
 
@@ -72,11 +79,13 @@ TEST(SpanSampling, SeedSelectsDifferentFlows) {
 
 TEST(SpanLog, RecordsAllPhases) {
   SpanLog log(1, 0, 16);
-  log.span(5, "link.transit", 100, 200, "bytes", 1500.0);
-  log.point(5, "tcp.conn_start", 150, "cwnd", 2.0);
-  const std::uint32_t bind = log.next_bind();
-  log.flow_out(5, "phi.ctx", 200, bind);
-  log.flow_in(5, "phi.ctx", 300, bind);
+  set_spans(&log);
+  span(Category::kLink, 5, "link.transit", 100, 200, "bytes", 1500.0);
+  instant(Category::kTcp, 5, "tcp.conn_start", 150, "cwnd", 2.0);
+  const std::uint32_t bind = next_bind();
+  flow_out(Category::kContext, 5, "phi.ctx", 200, bind);
+  flow_in(Category::kContext, 5, "phi.ctx", 300, bind);
+  set_spans(nullptr);
   ASSERT_EQ(log.events().size(), 4u);
   EXPECT_EQ(log.events()[0].phase, 'X');
   EXPECT_EQ(log.events()[0].t1, 200);
@@ -88,36 +97,26 @@ TEST(SpanLog, RecordsAllPhases) {
   EXPECT_EQ(log.events()[2].bind, log.events()[3].bind);
 }
 
-TEST(SpanLog, TruncatesNamesInPlaceOfAllocating) {
-  SpanLog log(1, 0, 4);
-  log.point(1, "a.name.much.longer.than.the.inline.buffer.can.hold", 0);
-  const std::string got = log.events()[0].name;
-  EXPECT_EQ(got.size(), sizeof(SpanEvent{}.name) - 1);
-  EXPECT_EQ(got, std::string("a.name.much.longer.than.the.inline.buffer."
-                             "can.hold")
-                     .substr(0, got.size()));
-}
-
 TEST(SpanLog, CapacityDropsThenClearRearms) {
   SpanLog log(1, 0, /*capacity=*/2);
-  log.point(1, "a", 0);
-  log.point(1, "b", 1);
-  log.point(1, "c", 2);
+  log.record(ev(Category::kTcp, "a", 0, 0.0, 1));
+  log.record(ev(Category::kTcp, "b", 1, 0.0, 1));
+  log.record(ev(Category::kTcp, "c", 2, 0.0, 1));
   EXPECT_EQ(log.events().size(), 2u);
   EXPECT_EQ(log.dropped(), 1u);
   log.clear();
   EXPECT_EQ(log.events().size(), 0u);
   EXPECT_EQ(log.dropped(), 0u);
-  log.point(1, "d", 3);
+  log.record(ev(Category::kTcp, "d", 3, 0.0, 1));
   EXPECT_EQ(log.events().size(), 1u);
 }
 
 TEST(SpanLog, ChromeJsonHasSlicesArrowsAndTrackNames) {
   SpanLog log(1, 0, 16);
-  log.span(9, "link.transit", 1000, 2000);
+  log.record(Event{Category::kLink, 'X', 9, 0, 1000, 2000, "link.transit"});
   const std::uint32_t bind = log.next_bind();
-  log.flow_out(9, "hop", 2000, bind);
-  log.flow_in(9, "hop", 3000, bind);
+  log.record(Event{Category::kLink, 's', 9, bind, 2000, 2000, "hop"});
+  log.record(Event{Category::kLink, 'f', 9, bind, 3000, 3000, "hop"});
   const std::string json = log.chrome_json();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -140,8 +139,7 @@ TEST(SpanLog, ThreadLocalInstallAndRestore) {
 
 TEST(FlightRecorderTest, RingKeepsLastDepthEvents) {
   FlightRecorder fr(/*depth=*/4);
-  for (int i = 0; i < 10; ++i)
-    fr.note(Category::kTcp, "tcp.evt", i, i);
+  for (int i = 0; i < 10; ++i) fr.note(ev(Category::kTcp, "tcp.evt", i, i));
   EXPECT_EQ(fr.recorded(), 10u);
   EXPECT_EQ(fr.ring_size(Category::kTcp), 4u);
   const std::string dump = fr.dump();
@@ -152,10 +150,10 @@ TEST(FlightRecorderTest, RingKeepsLastDepthEvents) {
 
 TEST(FlightRecorderTest, CategoriesHaveIndependentRings) {
   FlightRecorder fr(2);
-  fr.note(Category::kLink, "link.drop", 1);
-  fr.note(Category::kQueue, "red.mark", 2);
-  fr.note(Category::kQueue, "red.mark", 3);
-  fr.note(Category::kQueue, "red.mark", 4);
+  fr.note(ev(Category::kLink, "link.drop", 1));
+  fr.note(ev(Category::kQueue, "red.mark", 2));
+  fr.note(ev(Category::kQueue, "red.mark", 3));
+  fr.note(ev(Category::kQueue, "red.mark", 4));
   EXPECT_EQ(fr.ring_size(Category::kLink), 1u);
   EXPECT_EQ(fr.ring_size(Category::kQueue), 2u);
 }
@@ -167,10 +165,10 @@ TEST(FlightRecorderTest, ArmFiresOnceOnMatchingCategory) {
   FlightRecorder fr(8);
   fr.arm(mask_of(Category::kFault), path);
   EXPECT_TRUE(fr.armed());
-  fr.note(Category::kTcp, "tcp.evt", 1);  // not in mask: no dump
+  fr.note(ev(Category::kTcp, "tcp.evt", 1));  // not in mask: no dump
   EXPECT_TRUE(fr.armed());
   EXPECT_EQ(fr.last_dump_path(), "");
-  fr.note(Category::kFault, "fault.drop_report", 2);
+  fr.note(ev(Category::kFault, "fault.drop_report", 2));
   EXPECT_FALSE(fr.armed());  // one-shot latch consumed
   EXPECT_EQ(fr.last_dump_path(), path);
   std::FILE* f = std::fopen(path.c_str(), "r");
@@ -184,10 +182,11 @@ TEST(FlightRecorderTest, AnomalyDumpsToArmedPath) {
       ::testing::TempDir() + "/phi_flight_anomaly_test.txt";
   std::remove(path.c_str());
   FlightRecorder fr(8);
-  fr.note(Category::kScheduler, "sched.run", 1);
+  fr.note(ev(Category::kScheduler, "sched.run", 1));
   fr.arm(kAllCategories, path);
-  fr.anomaly("queue.stuck", 2, 42.0);
+  fr.anomaly(ev(Category::kBench, "queue.stuck", 2, 42.0));
   EXPECT_EQ(fr.last_dump_path(), path);
+  EXPECT_FALSE(fr.armed());  // the anomaly consumed the one-shot latch
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
   char buf[4096];
@@ -196,7 +195,41 @@ TEST(FlightRecorderTest, AnomalyDumpsToArmedPath) {
   buf[n] = '\0';
   const std::string dump(buf);
   EXPECT_NE(dump.find("queue.stuck"), std::string::npos);
+  EXPECT_NE(dump.find("a=42"), std::string::npos);
   EXPECT_NE(dump.find("sched.run"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+std::string read_file(const std::string& path) {
+  std::string text;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    char buf[4096];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;)
+      text.append(buf, n);
+    std::fclose(f);
+  }
+  return text;
+}
+
+TEST(FlightRecorderTest, AnomalyAfterFiredArmGoesToStderr) {
+  // Regression: once the one-shot arm fired and disarmed, anomaly() used
+  // to overwrite the first dump instead of writing to stderr.
+  const std::string path =
+      ::testing::TempDir() + "/phi_flight_anomaly_after_arm.txt";
+  std::remove(path.c_str());
+  FlightRecorder fr(8);
+  fr.arm(mask_of(Category::kFault), path);
+  fr.note(ev(Category::kFault, "fault.crash", 1));
+  ASSERT_FALSE(fr.armed());
+  const std::string first = read_file(path);
+  ASSERT_NE(first.find("fault.crash"), std::string::npos);
+
+  ::testing::internal::CaptureStderr();
+  fr.anomaly(ev(Category::kBench, "queue.stuck", 2));
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("queue.stuck"), std::string::npos);
+  EXPECT_EQ(read_file(path), first);
+  EXPECT_EQ(fr.last_dump_path(), path);
   std::remove(path.c_str());
 }
 
@@ -233,6 +266,29 @@ TEST(LoopProfileTest, MergeAddsCountsAndTimes) {
   EXPECT_EQ(a.sampled(LoopProfile::kDelivery), 2u);
   EXPECT_EQ(a.sampled_ns(LoopProfile::kDelivery), 100u);
   EXPECT_EQ(a.wall_ns(), 77u);
+}
+
+TEST(LoopProfileTest, SharesComeFromEstimatedTotals) {
+  // Wheel advance: 1000 events, 10 timed at 100 ns each -> 100 us total.
+  // Delivery: 100 events, all timed, 3000 ns each -> 300 us total. By
+  // sampled time alone delivery would be 99.7%; by estimated totals the
+  // split is 25% / 75%.
+  LoopProfile prof;
+  prof.count(LoopProfile::kWheelAdvance, 1000);
+  prof.add_time(LoopProfile::kWheelAdvance, 1000, 10);
+  prof.count(LoopProfile::kDelivery, 100);
+  prof.add_time(LoopProfile::kDelivery, 300'000, 100);
+  prof.add_wall(500'000);
+  EXPECT_DOUBLE_EQ(prof.estimated_ns(LoopProfile::kWheelAdvance), 100'000.0);
+  EXPECT_DOUBLE_EQ(prof.estimated_ns(LoopProfile::kDelivery), 300'000.0);
+  EXPECT_DOUBLE_EQ(prof.estimated_ns(LoopProfile::kCallback), 0.0);
+  const std::string table = prof.table();
+  EXPECT_NE(table.find(" 25.0%"), std::string::npos) << table;
+  EXPECT_NE(table.find(" 75.0%"), std::string::npos) << table;
+  EXPECT_NE(table.find("sections sum 0.400 ms of run_until wall 0.500 ms "
+                       "(gap 0.100 ms, 20.0%)"),
+            std::string::npos)
+      << table;
 }
 
 // --- Time series -------------------------------------------------------
@@ -357,27 +413,15 @@ TEST(ScenarioTelemetry, TracedRunCoversTheDatapath) {
 
 #else  // PHI_TELEMETRY_OFF — the whole layer must be inert no-op stubs.
 
-TEST(ObservabilityStubs, SpanLogCompilesToNothing) {
-  SpanLog log(1, 0, 1024);
-  EXPECT_EQ(log.trace_of(1), 0u);
-  log.span(1, "x", 0, 1);
-  log.point(1, "y", 0);
-  log.flow_out(1, "z", 0, log.next_bind());
-  EXPECT_TRUE(log.events().empty());
-  EXPECT_EQ(log.chrome_json(), "{\"traceEvents\":[]}\n");
-  EXPECT_EQ(spans(), nullptr);
+TEST(ObservabilityStubs, EventPathIsInert) {
+  SpanLog log(1, 0, 1024, kAllCategories);
   set_spans(&log);
   EXPECT_EQ(spans(), nullptr);
-}
-
-TEST(ObservabilityStubs, FlightRecorderIsInert) {
-  FlightRecorder fr(64);
-  fr.arm(kAllCategories, "/nonexistent/never_written.txt");
-  fr.note(Category::kFault, "fault", 1);
-  fr.anomaly("anomaly", 2);
-  EXPECT_EQ(fr.recorded(), 0u);
-  EXPECT_FALSE(fr.armed());
-  EXPECT_EQ(fr.last_dump_path(), "");
+  span(Category::kLink, 1, "x", 0, 1);
+  instant(Category::kFault, 0, "y", 0);
+  flow_out(Category::kContext, 1, "z", 0, next_bind());
+  counter(Category::kLink, "c", 0, 1.0);
+  EXPECT_TRUE(log.events().empty());
   EXPECT_EQ(flight().recorded(), 0u);
 }
 

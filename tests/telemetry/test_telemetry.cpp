@@ -1,10 +1,10 @@
 // Telemetry subsystem tests: registry identity invariants, histogram
-// accuracy against exact order statistics, exporter formats, trace-event
-// JSON round-trips (via the minimal JSON parser below), and the
-// PHI_TELEMETRY_OFF contract. The whole file compiles in both modes; the
-// sections that inspect recorded values are gated on the real
-// implementation, and a dedicated section pins down the stubbed
-// behavior.
+// accuracy against exact order statistics, exporter formats, the event
+// log's Chrome JSON round-trip (via the minimal JSON parser below) and
+// category mask, and the PHI_TELEMETRY_OFF contract. The whole file
+// compiles in both modes; the sections that inspect recorded values are
+// gated on the real implementation, and a dedicated section pins down
+// the stubbed behavior.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -307,86 +307,60 @@ TEST(Exporters, CsvHasHeaderAndOneRowPerInstrument) {
   EXPECT_EQ(static_cast<int>(std::count(csv.begin(), csv.end(), '\n')), 3);
 }
 
-// ---------------- trace sink ----------------
+// ---------------- event log ----------------
 
-TEST(TraceSink, ChromeJsonRoundTrip) {
-  TraceSink sink;
-  sink.instant(Category::kTcp, "tcp.rto", util::seconds(1),
-               {targ("cwnd", 12.5), targ("why", "timeout")}, 7);
-  sink.counter(Category::kLink, "util", util::seconds(2), 0.75);
-  const JsonValue root = parse_or_fail(sink.chrome_json());
+TEST(SpanLog, ChromeJsonRoundTrip) {
+  SpanLog log(0, 0, 16, kAllCategories);
+  log.record(Event{Category::kTcp, 'i', 7, 0, util::seconds(1),
+                   util::seconds(1), "tcp.rto", "cwnd", 12.5, "inflight",
+                   3.0});
+  log.record(Event{Category::kLink, 'C', 0, 0, util::seconds(2),
+                   util::seconds(2), "util", "value", 0.75});
+  const JsonValue root = parse_or_fail(log.chrome_json());
   const JsonValue* events = root.at("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->array.size(), 2u);
-  const JsonValue& e0 = events->array[0];
+  // Two track-name metadata records (tracks 0 and 7), then the events.
+  ASSERT_EQ(events->array.size(), 4u);
+  const JsonValue& e0 = events->array[2];
   EXPECT_EQ(e0.at("name")->str, "tcp.rto");
-  EXPECT_EQ(e0.at("cat")->str, "tcp");
+  EXPECT_EQ(e0.at("cat")->str, "span");
   EXPECT_EQ(e0.at("ph")->str, "i");
   EXPECT_EQ(e0.at("tid")->number, 7.0);
   // ts is microseconds in the Chrome format; the event was at 1 s.
   EXPECT_DOUBLE_EQ(e0.at("ts")->number, 1e6);
   EXPECT_DOUBLE_EQ(e0.at("args")->at("cwnd")->number, 12.5);
-  EXPECT_EQ(e0.at("args")->at("why")->str, "timeout");
-  const JsonValue& e1 = events->array[1];
+  EXPECT_DOUBLE_EQ(e0.at("args")->at("inflight")->number, 3.0);
+  const JsonValue& e1 = events->array[3];
   EXPECT_EQ(e1.at("ph")->str, "C");
+  EXPECT_EQ(e1.at("cat")->str, "link");
   EXPECT_DOUBLE_EQ(e1.at("args")->at("value")->number, 0.75);
 }
 
-TEST(TraceSink, JsonlEveryLineParses) {
-  TraceSink sink;
-  for (int i = 0; i < 5; ++i)
-    sink.instant(Category::kBench, "tick", i * 1000,
-                 {targ("i", static_cast<double>(i))});
-  const std::string jsonl = sink.jsonl();
-  std::size_t start = 0, lines = 0;
-  while (start < jsonl.size()) {
-    const std::size_t end = jsonl.find('\n', start);
-    ASSERT_NE(end, std::string::npos);
-    const JsonValue v = parse_or_fail(jsonl.substr(start, end - start));
-    EXPECT_EQ(v.at("name")->str, "tick");
-    EXPECT_EQ(v.at("ts_ns")->number, static_cast<double>(lines * 1000));
-    start = end + 1;
-    ++lines;
-  }
-  EXPECT_EQ(lines, 5u);
-}
-
-TEST(TraceSink, CategoryMaskFilters) {
-  TraceSink sink(mask_of(Category::kTcp));
-  EXPECT_TRUE(sink.enabled(Category::kTcp));
-  EXPECT_FALSE(sink.enabled(Category::kLink));
-  sink.instant(Category::kLink, "dropped", 0);
-  sink.instant(Category::kTcp, "kept", 0);
-  ASSERT_EQ(sink.events().size(), 1u);
-  EXPECT_EQ(sink.events()[0].name, "kept");
-}
-
-TEST(TraceSink, MaxEventsBoundsMemory) {
-  TraceSink sink(kAllCategories, /*max_events=*/3);
-  for (int i = 0; i < 10; ++i) sink.instant(Category::kBench, "e", i);
-  EXPECT_EQ(sink.events().size(), 3u);
-  EXPECT_EQ(sink.dropped(), 7u);
-  sink.clear();
-  EXPECT_EQ(sink.events().size(), 0u);
-  EXPECT_EQ(sink.dropped(), 0u);
-}
-
-TEST(TraceSink, GlobalInstallUninstall) {
-  EXPECT_EQ(tracer(), nullptr);
-  TraceSink sink;
-  set_tracer(&sink);
-  EXPECT_EQ(tracer(), &sink);
-  set_tracer(nullptr);
-  EXPECT_EQ(tracer(), nullptr);
+TEST(SpanLog, CategoryMaskFilters) {
+  // Untraced events are logged by category; a sampled flow's events are
+  // logged whatever their category.
+  SpanLog log(0, 0, 16, mask_of(Category::kTcp));
+  log.record(Event{Category::kLink, 'i', 0, 0, 0, 0, "dropped"});
+  log.record(Event{Category::kTcp, 'i', 0, 0, 0, 0, "kept"});
+  log.record(Event{Category::kLink, 'i', 5, 0, 0, 0, "traced"});
+  ASSERT_EQ(log.events().size(), 2u);
+  EXPECT_STREQ(log.events()[0].name, "kept");
+  EXPECT_STREQ(log.events()[1].name, "traced");
 }
 
 #else  // PHI_TELEMETRY_OFF — pin down the stubbed contract.
 
-TEST(TelemetryOff, TracerIsConstantNull) {
-  EXPECT_EQ(tracer(), nullptr);
-  TraceSink sink;
-  set_tracer(&sink);  // ignored
-  EXPECT_EQ(tracer(), nullptr);
+TEST(TelemetryOff, EmitRecordsNothing) {
+  SpanLog log(1, 0, 16, kAllCategories);
+  set_spans(&log);  // ignored
+  EXPECT_EQ(spans(), nullptr);
+  const std::uint64_t noted = flight().recorded();
+  instant(Category::kTcp, 1, "e", 0);
+  EXPECT_TRUE(log.events().empty());
+  EXPECT_EQ(flight().recorded(), noted);
+  const JsonValue root = parse_or_fail(log.chrome_json());
+  ASSERT_NE(root.at("traceEvents"), nullptr);
+  EXPECT_EQ(root.at("traceEvents")->array.size(), 0u);
 }
 
 TEST(TelemetryOff, RegistryAcceptsUpdatesAndStaysEmpty) {
@@ -403,16 +377,6 @@ TEST(TelemetryOff, RegistryAcceptsUpdatesAndStaysEmpty) {
   EXPECT_EQ(reg.json(), "{}\n");
 }
 
-TEST(TelemetryOff, TraceSinkRecordsNothing) {
-  TraceSink sink;
-  EXPECT_FALSE(sink.enabled(Category::kTcp));
-  sink.instant(Category::kTcp, "e", 0);
-  EXPECT_EQ(sink.events().size(), 0u);
-  const JsonValue root = parse_or_fail(sink.chrome_json());
-  ASSERT_NE(root.at("traceEvents"), nullptr);
-  EXPECT_EQ(root.at("traceEvents")->array.size(), 0u);
-}
-
 #endif  // PHI_TELEMETRY_OFF
 
 // Compiles and runs identically in both modes: the instrumentation
@@ -420,9 +384,7 @@ TEST(TelemetryOff, TraceSinkRecordsNothing) {
 TEST(TelemetryBothModes, InstrumentationPatternCompiles) {
   Counter* ctr = &registry().counter("bothmodes.count");
   ctr->add();
-  if (auto* t = tracer(); t && t->enabled(Category::kBench)) {
-    t->instant(Category::kBench, "bothmodes.tick", 0);
-  }
+  instant(Category::kBench, 0, "bothmodes.tick", 0, "n", 1.0);
   SUCCEED();
 }
 

@@ -1,16 +1,15 @@
 // telemetry_demo — end-to-end exercise of the telemetry subsystem: runs
 // the Figure-1 dumbbell with a faulty Phi control plane, every built-in
-// instrument live, a trace sink installed, causal flow tracing of every
-// flow, time-series capture, event-loop profiling, and the flight
-// recorder armed to dump on the first injected fault — then dumps all
-// exporter formats:
+// instrument live, an event log recording every category plus causal
+// flow tracing of every flow, time-series capture, event-loop profiling,
+// and the flight recorder armed to dump on the first injected fault —
+// then dumps all exporter formats:
 //
 //   telemetry_demo [--help] [out_dir]   (default: telemetry_demo_out)
 //     out_dir/trace.json          Chrome trace_event JSON — load in
 //                                 about://tracing or ui.perfetto.dev
-//     out_dir/trace.jsonl         one JSON object per event
-//     out_dir/spans.json          causal flow spans (Chrome trace JSON
-//                                 with flow arrows; Perfetto-viewable)
+//                                 (flow spans with arrows, category
+//                                 events, counter tracks)
 //     out_dir/timeseries.csv      tidy time-series capture
 //     out_dir/flight_dump.txt     flight-recorder dump, auto-fired by
 //                                 the first injected control-plane fault
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: telemetry_demo [out_dir]   (default: "
                  "telemetry_demo_out)\n"
-                 "writes trace.json trace.jsonl spans.json timeseries.csv "
+                 "writes trace.json timeseries.csv "
                  "flight_dump.txt metrics.{prom,json,csv} into out_dir\n");
     return 0;
   }
@@ -60,18 +59,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-#ifndef PHI_TELEMETRY_OFF
-  telemetry::TraceSink sink(telemetry::kAllCategories,
-                            /*max_events=*/2'000'000);
-  telemetry::set_tracer(&sink);
-#endif
-  // Black box armed on the fault category: the first injected fault
-  // writes the whole per-component event history to disk, exactly the
-  // "what led up to this?" artifact the recorder exists for.
-  telemetry::flight().arm(
-      telemetry::mask_of(telemetry::Category::kFault),
-      out + "/flight_dump.txt");
-
   core::ScenarioConfig cfg;
   cfg.net.pairs = 8;
   cfg.net.queue = sim::DumbbellConfig::Queue::kRedEcn;
@@ -81,8 +68,21 @@ int main(int argc, char** argv) {
   cfg.ecn = true;
   cfg.seed = 7;
 
+  // One log for the whole run: every flow traced (sample 1 in 1) and
+  // every category's untraced events too. Installed here rather than
+  // through TelemetrySpec::trace_one_in, whose log records traced flows
+  // only.
+  telemetry::SpanLog log(/*sample_one_in=*/1, cfg.seed,
+                         /*capacity=*/1 << 21, telemetry::kAllCategories);
+  telemetry::set_spans(&log);
+  // Black box armed on the fault category: the first injected fault
+  // writes the whole per-component event history to disk, exactly the
+  // "what led up to this?" artifact the recorder exists for.
+  telemetry::flight().arm(
+      telemetry::mask_of(telemetry::Category::kFault),
+      out + "/flight_dump.txt");
+
   core::ScenarioSpec spec = cfg.spec();
-  spec.telemetry.trace_one_in = 1;  // causal-trace every flow
   spec.telemetry.timeseries_dt = util::milliseconds(250);
   spec.telemetry.profile = true;
 
@@ -129,17 +129,12 @@ int main(int argc, char** argv) {
   const bool ok = reg.write_prometheus(out + "/metrics.prom") &&
                   reg.write_json(out + "/metrics.json") &&
                   reg.write_csv(out + "/metrics.csv");
+  telemetry::set_spans(nullptr);
 #ifndef PHI_TELEMETRY_OFF
-  bool trace_ok = sink.write_chrome_json(out + "/trace.json") &&
-                  sink.write_jsonl(out + "/trace.jsonl");
-  std::printf("trace events: %zu (%llu dropped)\n", sink.events().size(),
-              static_cast<unsigned long long>(sink.dropped()));
+  bool trace_ok = log.write_chrome_json(out + "/trace.json");
+  std::printf("trace events: %zu (%zu dropped)\n", log.events().size(),
+              log.dropped());
   if (metrics.capture) {
-    trace_ok = trace_ok &&
-               metrics.capture->spans.write_chrome_json(out + "/spans.json");
-    std::printf("span events: %zu (%zu dropped)\n",
-                metrics.capture->spans.events().size(),
-                metrics.capture->spans.dropped());
     std::printf("\nevent-loop profile:\n%s",
                 metrics.capture->profile.table().c_str());
   }
@@ -149,7 +144,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fr.recorded()),
               fr.last_dump_path().empty() ? "(never fired)"
                                           : fr.last_dump_path().c_str());
-  telemetry::set_tracer(nullptr);
 #else
   const bool trace_ok = true;
   std::printf("telemetry compiled out (PHI_TELEMETRY_OFF); metric/trace "
@@ -163,7 +157,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(metrics.connections));
   std::printf("registry instruments: %zu\n", reg.size());
   std::printf("artifacts in %s: metrics.prom metrics.json metrics.csv "
-              "trace.json trace.jsonl spans.json timeseries.csv "
+              "trace.json timeseries.csv "
               "flight_dump.txt\n",
               out.c_str());
   if (!ok || !trace_ok) {
