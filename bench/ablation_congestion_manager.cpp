@@ -88,7 +88,7 @@ Outcome run_mode(int mode, std::uint64_t seed) {
         return std::make_unique<tcp::Cubic>();
       },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         return [&, sched](std::size_t i)
                    -> std::unique_ptr<tcp::ConnectionAdvisor> {
           auto col = std::make_unique<FctCollector>();

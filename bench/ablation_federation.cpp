@@ -72,7 +72,7 @@ Outcome run_mode(int mode, std::uint64_t seed) {
   const auto m = core::run_scenario_with_setup(
       cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
 
         if (mode == 2) {
           // Federation rounds: secure-aggregate each provider's local

@@ -50,11 +50,10 @@ double crash_gap(double crash_rate, util::Duration lease, std::uint64_t seed,
   (void)core::run_scenario_with_setup(
       cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         server = std::make_unique<core::ContextServer>(
             scfg, [sched] { return sched->now(); });
-        server->set_path_capacity(kPath,
-                                  live.dumbbell->config().bottleneck_rate);
+        server->set_path_capacity(kPath, live.topology->path_link(0).rate());
         core::FaultConfig fc;
         fc.crash = crash_rate;
         // Fault-arrival stream derived from (not correlated with) the
@@ -96,11 +95,10 @@ double dup_utilization(double dup_rate, std::size_t dedup_capacity,
   (void)core::run_scenario_with_setup(
       cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         server = std::make_unique<core::ContextServer>(
             scfg, [sched] { return sched->now(); });
-        server->set_path_capacity(kPath,
-                                  live.dumbbell->config().bottleneck_rate);
+        server->set_path_capacity(kPath, live.topology->path_link(0).rate());
         core::FaultConfig fc;
         fc.duplicate_report = dup_rate;
         fc.seed = util::derive_seed(seed, 1);

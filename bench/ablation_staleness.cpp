@@ -47,14 +47,13 @@ TrackingError run_workload(double mean_on_bytes, double mean_off_s,
   (void)core::run_scenario_with_setup(
       cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        server.set_path_capacity(kPath,
-                                 live.dumbbell->config().bottleneck_rate);
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
-        sim::Dumbbell* d = live.dumbbell;
+        sim::Topology* d = live.topology;
+        server.set_path_capacity(kPath, d->path_link(0).rate());
+        sim::Scheduler* sched = &d->scheduler();
         // Periodic comparison of the two views, skipping warm-up.
         auto sample = std::make_shared<std::function<void()>>();
         *sample = [&, sched, d, sample] {
-          const double oracle = d->monitor().recent_utilization();
+          const double oracle = d->path_monitor(0).recent_utilization();
           const double est = server.context(kPath).utilization;
           const double err = est - oracle;
           se += err * err;

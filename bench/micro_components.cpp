@@ -18,7 +18,6 @@
 #include "remy/remycc.hpp"
 #include "sim/event.hpp"
 #include "sim/network.hpp"
-#include "sim/parking_lot.hpp"
 #include "sim/queue.hpp"
 #include "sim/queue_disc.hpp"
 #include "tcp/cc.hpp"

@@ -27,10 +27,11 @@ struct Trace {
 Trace run(tcp::CubicParams params, const char* csv) {
   sim::DumbbellConfig cfg;
   cfg.pairs = 1;
-  sim::Dumbbell d(cfg);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<tcp::Cubic>(params));
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   tcp::SenderTracer tracer(d.scheduler(), sender, util::milliseconds(50));
 
   Trace out;

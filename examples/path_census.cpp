@@ -16,7 +16,7 @@
 #include "flow/bottleneck.hpp"
 #include "flow/heavy_hitters.hpp"
 #include "flow/tracegen.hpp"
-#include "sim/parking_lot.hpp"
+#include "sim/graph_topology.hpp"
 #include "tcp/app.hpp"
 #include "tcp/sender.hpp"
 #include "tcp/sink.hpp"
@@ -28,7 +28,7 @@ int main() {
   sim::ParkingLotConfig cfg;
   cfg.hops = 2;
   cfg.cross_per_hop = 5;
-  sim::ParkingLot lot(cfg);
+  sim::GraphTopology lot(sim::parking_lot_graph(cfg));
   flow::SharedBottleneckDetector det;
 
   std::vector<std::unique_ptr<tcp::TcpSender>> senders;
@@ -40,12 +40,13 @@ int main() {
   for (std::size_t h = 0; h < 2; ++h) {
     for (std::size_t i = 0; i < cfg.cross_per_hop; ++i) {
       const sim::FlowId flow = 100 * (h + 1) + i;
+      const sim::Topology::Endpoint ep =
+          lot.endpoint(h * cfg.cross_per_hop + i);
       senders.push_back(std::make_unique<tcp::TcpSender>(
-          lot.scheduler(), lot.cross_sender(h, i),
-          lot.cross_receiver(h, i).id(), flow,
+          lot.scheduler(), *ep.tx, ep.rx->id(), flow,
           std::make_unique<tcp::Cubic>(tcp::CubicParams{64, 8, 0.2})));
       sinks.push_back(std::make_unique<tcp::TcpSink>(
-          lot.scheduler(), lot.cross_receiver(h, i), flow));
+          lot.scheduler(), *ep.rx, flow));
       if (i < 2) {
         senders.back()->start_connection(10'000'000,
                                          [](const tcp::ConnStats&) {});

@@ -51,7 +51,7 @@ int main() {
   const auto after = core::run_scenario_with_setup(
       cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         return [&server, sched, kPath](std::size_t i)
                    -> std::unique_ptr<tcp::ConnectionAdvisor> {
           return std::make_unique<core::PhiCubicAdvisor>(

@@ -86,7 +86,7 @@ int main() {
   const auto metrics = core::run_scenario_with_setup(
       peak, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         return [&, sched](std::size_t i) {
           return std::make_unique<CdnAdvisor>(
               server, kMetro, i, [sched] { return sched->now(); },

@@ -364,8 +364,6 @@ ScenarioMetrics run_scenario_with_setup(const ScenarioSpec& spec,
 
   LiveScenario live;
   live.topology = &t;
-  live.dumbbell = dynamic_cast<sim::Dumbbell*>(&t);
-  live.parking_lot = dynamic_cast<sim::ParkingLot*>(&t);
   live.spec = &spec;
   for (auto& s : senders) live.senders.push_back(s.get());
   for (auto& s : sinks) live.sinks.push_back(s.get());

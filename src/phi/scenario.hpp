@@ -271,10 +271,6 @@ using SetupHook = std::function<AdvisorFactory(LiveScenario&)>;
 
 struct LiveScenario {
   sim::Topology* topology = nullptr;
-  /// Concrete views; exactly one is non-null, matching the spec's
-  /// topology variant. Dumbbell-only hooks keep reading `dumbbell`.
-  sim::Dumbbell* dumbbell = nullptr;
-  sim::ParkingLot* parking_lot = nullptr;
   const ScenarioSpec* spec = nullptr;
   std::vector<tcp::TcpSender*> senders;
   std::vector<tcp::TcpSink*> sinks;

@@ -580,6 +580,7 @@ std::uint64_t Scheduler::run_until(Time horizon) {
 std::uint64_t Scheduler::run_until_profiled(Time horizon) {
   using Prof = telemetry::LoopProfile;
   Prof& prof = *profile_;
+  prof.calibrate();
   const std::uint64_t wall0 = telemetry::profile_clock_ns();
   const std::int64_t limit_tick = horizon >> kTickShift;
   std::uint64_t ran = 0;

@@ -1,10 +1,15 @@
-// graph_topology.hpp — generated topologies. A GraphSpec is a plain
-// adjacency description (nodes, duplex edges, sender/receiver endpoint
-// pairs); GraphTopology builds the Network from it, installs
-// deterministic shortest-path routes with destination-spread ECMP, and
-// exposes every direction of every monitored edge as a sim::Topology
-// path with its own LinkMonitor. Two generators produce GraphSpecs:
+// graph_topology.hpp — the one topology implementation. A GraphSpec is a
+// plain adjacency description (nodes, duplex edges with their queue,
+// jitter and monitored directions, sender/receiver endpoint pairs);
+// GraphTopology builds the Network from it, installs deterministic
+// shortest-path routes with destination-spread ECMP, and exposes every
+// monitored link direction as a sim::Topology path with its own
+// LinkMonitor. Four generators produce GraphSpecs:
 //
+//   * dumbbell_graph — the paper's Figure-1 dumbbell; its one path is the
+//     forward bottleneck.
+//   * parking_lot_graph — the multi-bottleneck chain; each forward hop is
+//     a path, which makes per-path contexts observable (§2.2.2).
 //   * fat_tree_graph — the k-ary datacenter fat tree (k pods of k/2 edge
 //     and k/2 agg switches, (k/2)^2 cores, k^3/4 hosts). Core links get
 //     the largest propagation delay, so the shard partitioner's
@@ -15,7 +20,7 @@
 //
 // Everything is a pure function of the config (and an explicit topology
 // seed for the WAN), so equal specs reproduce identical networks, paths
-// and routes — the same determinism contract the canned topologies obey.
+// and routes.
 #pragma once
 
 #include <cstddef>
@@ -30,16 +35,30 @@
 
 namespace phi::sim {
 
+/// Queueing discipline of an edge (both directions): drop-tail FIFO,
+/// RED+ECN for the AQM ablation, or per-flow DRR fair queueing for the
+/// §3.1 incentive-compatibility counterfactual.
+enum class QueueKind { kDropTail, kRedEcn, kFq };
+
 /// Adjacency description a GraphTopology is built from.
 struct GraphSpec {
+  /// Which directions of an edge become Topology paths: none, a->b, or
+  /// a->b then b->a (the value counts them).
+  enum class Monitored { kNo = 0, kForward = 1, kBoth = 2 };
   struct Edge {
     std::size_t a = 0;  ///< node index
     std::size_t b = 0;  ///< node index
     util::Rate rate = 100.0 * util::kMbps;
     util::Duration delay = util::milliseconds(1);  ///< one way, each direction
     std::int64_t buffer_bytes = 256 * 1024;
-    /// Both directions of a monitored edge become Topology paths.
-    bool monitored = false;
+    Monitored monitored = Monitored::kNo;
+    QueueKind queue = QueueKind::kDropTail;
+    /// Random extra one-way delay in [0, jitter], each direction; edge i
+    /// draws from seeds 0xB0B + 32i (a->b) and 0xB1B + 32i (b->a).
+    util::Duration jitter = 0;
+    /// Name of the a->b link ("-rev" appended for b->a); empty keeps the
+    /// Network's "a->b" default for both directions.
+    std::string name{};
   };
   struct EndpointSpec {
     std::size_t tx = 0;  ///< node index (host)
@@ -54,17 +73,17 @@ struct GraphSpec {
   const char* klass = "graph";  ///< generator kind ("fat-tree", "wan", ...)
   int regions = 1;
 
-  std::size_t monitored_edges() const noexcept {
+  /// Number of monitored link directions (= Topology paths).
+  std::size_t monitored_paths() const noexcept {
     std::size_t n = 0;
-    for (const Edge& e : edges) n += e.monitored ? 1 : 0;
+    for (const Edge& e : edges) n += static_cast<std::size_t>(e.monitored);
     return n;
   }
 };
 
 /// Node/link/endpoint/path counts implied by a GraphSpec without
-/// building it (the self-describing-artifact satellite): links counts
-/// both directions of every duplex edge; paths counts both directions
-/// of every monitored edge, exactly GraphTopology::path_count().
+/// building it: links counts both directions of every duplex edge; paths
+/// counts every monitored direction, exactly GraphTopology::path_count().
 struct TopologyShape {
   const char* klass = "graph";
   std::size_t nodes = 0;
@@ -91,23 +110,22 @@ class GraphTopology : public Topology {
   }
   Endpoint endpoint(std::size_t i) override;
 
-  // Paths: directional monitored links in edge order — path 2m is edge
-  // m's a->b direction, path 2m+1 its b->a direction.
+  // Paths: monitored link directions in edge order, a->b before b->a.
   std::size_t path_count() const noexcept override { return paths_.size(); }
   Link& path_link(std::size_t p) override { return *paths_.at(p); }
   LinkMonitor& path_monitor(std::size_t p) override {
     return *monitors_.at(p);
   }
   /// The *bottleneck* monitored link endpoint `i`'s route crosses (the
-  /// smallest-rate one; first traversed on ties), or kAllPaths when the
-  /// route crosses no monitored link (an intra-rack pair).
+  /// smallest-rate one; first traversed on ties, so a parking lot's long
+  /// pair reads hop 0), or kAllPaths when the route crosses no monitored
+  /// link (an intra-rack pair).
   std::size_t endpoint_path(std::size_t i) const override {
     if (i >= endpoint_paths_.size())
       throw std::out_of_range("endpoint index");
     return endpoint_paths_[i];
   }
 
-  const GraphSpec& spec() const noexcept { return spec_; }
   /// Aggregation-tree region of endpoint `i` (fat-tree pod, WAN site).
   int endpoint_region(std::size_t i) const {
     return spec_.endpoints.at(i).region;
@@ -119,19 +137,55 @@ class GraphTopology : public Topology {
   }
 
  private:
-  void install_routes();
-  void enumerate_paths();
+  /// Creates paths and monitors; returns each link's path or kAllPaths.
+  std::vector<std::size_t> enumerate_paths();
+  void install_routes(const std::vector<std::size_t>& path_of);
 
   GraphSpec spec_;
   Network net_;
-  std::vector<Node*> nodes_;
-  std::vector<Link*> fwd_;  ///< edge i, a->b
-  std::vector<Link*> rev_;  ///< edge i, b->a
   std::vector<Link*> paths_;
   std::vector<std::unique_ptr<LinkMonitor>> monitors_;
   std::vector<std::size_t> endpoint_paths_;
   std::vector<std::size_t> hop_counts_;
 };
+
+/// The Figure-1 dumbbell: pair i (sender i -> receiver i) is endpoint i;
+/// the bottleneck carries the queue and jitter and a buffer of
+/// buffer_bdp_multiple x its BDP; edge links get 10x that plus 1 MB.
+struct DumbbellConfig {
+  std::size_t pairs = 8;
+  util::Rate bottleneck_rate = 15.0 * util::kMbps;
+  util::Duration rtt = util::milliseconds(150);  ///< end-to-end round trip
+  util::Rate edge_rate = 1000.0 * util::kMbps;
+  util::Duration edge_delay = util::milliseconds(1);  ///< per edge hop, one way
+  double buffer_bdp_multiple = 5.0;                   ///< Figure 1
+  util::Duration monitor_interval = util::milliseconds(100);
+
+  /// Bottleneck queueing discipline.
+  using Queue = QueueKind;
+  Queue queue = Queue::kDropTail;
+  /// Random extra one-way delay on the bottleneck (reorders packets).
+  util::Duration bottleneck_jitter = 0;
+};
+
+GraphSpec dumbbell_graph(const DumbbellConfig& cfg);
+
+/// The parking lot: routers R0..RH, hop h (path h) from Rh to Rh+1,
+/// long pairs R0 -> RH and cross pairs Rh -> Rh+1. Endpoints are
+/// hop-major: cross pair (h, i) is h * cross_per_hop + i, then the longs.
+struct ParkingLotConfig {
+  std::size_t hops = 2;            ///< bottleneck links (routers = hops+1)
+  std::size_t cross_per_hop = 4;   ///< cross-traffic pairs loading each hop
+  std::size_t long_flows = 2;      ///< end-to-end pairs across all hops
+  util::Rate hop_rate = 15.0 * util::kMbps;
+  util::Duration hop_delay = util::milliseconds(20);  ///< one way per hop
+  util::Rate edge_rate = 1000.0 * util::kMbps;
+  util::Duration edge_delay = util::milliseconds(1);
+  double buffer_bdp_multiple = 5.0;
+  util::Duration monitor_interval = util::milliseconds(100);
+};
+
+GraphSpec parking_lot_graph(const ParkingLotConfig& cfg);
 
 /// k-ary fat tree (k even, >= 2): k pods x (k/2 edge + k/2 agg)
 /// switches, (k/2)^2 cores, k/2 hosts per edge switch. Endpoint i sends

@@ -1,121 +1,34 @@
 #include "sim/topology.hpp"
 
-#include <stdexcept>
-
-#include "sim/fq.hpp"
-
 namespace phi::sim {
 
-util::Duration Dumbbell::one_way_delay() const noexcept {
-  // Two edge hops plus the bottleneck hop, each direction.
-  return cfg_.rtt / 2;
-}
+namespace {
 
-Dumbbell::Dumbbell(const DumbbellConfig& cfg) : cfg_(cfg) {
-  if (cfg.pairs == 0) throw std::invalid_argument("dumbbell needs >= 1 pair");
-  const util::Duration one_way = cfg.rtt / 2;
-  const util::Duration bottleneck_delay = one_way - 2 * cfg.edge_delay;
-  if (bottleneck_delay <= 0)
-    throw std::invalid_argument("rtt too small for the edge delays");
-
-  buffer_bytes_ = static_cast<std::int64_t>(
-      cfg.buffer_bdp_multiple *
-      static_cast<double>(util::bdp_bytes(cfg.bottleneck_rate, cfg.rtt)));
-
-  left_ = &net_.add_node("left-router");
-  right_ = &net_.add_node("right-router");
-
-  // Edge links get generous buffers; they are never the constraint.
-  const std::int64_t edge_buf = 10 * buffer_bytes_ + 1'000'000;
-
-  auto make_queue = [&]() -> std::unique_ptr<QueueDisc> {
-    if (cfg.queue == DumbbellConfig::Queue::kRedEcn) {
-      RedQueue::Config red;
-      red.capacity_bytes = buffer_bytes_;
-      return std::make_unique<RedQueue>(red);
-    }
-    if (cfg.queue == DumbbellConfig::Queue::kFq) {
-      DrrQueue::Config fq;
-      fq.capacity_bytes = buffer_bytes_;
-      return std::make_unique<DrrQueue>(fq);
-    }
-    return std::make_unique<DropTailDisc>(buffer_bytes_);
-  };
-  bottleneck_ = &net_.add_link(*left_, *right_, cfg.bottleneck_rate,
-                               bottleneck_delay, make_queue(), "bottleneck");
-  bottleneck_rev_ = &net_.add_link(*right_, *left_, cfg.bottleneck_rate,
-                                   bottleneck_delay, make_queue(),
-                                   "bottleneck-rev");
-  if (cfg.bottleneck_jitter > 0) {
-    bottleneck_->set_jitter(cfg.bottleneck_jitter, /*seed=*/0xB0B);
-    bottleneck_rev_->set_jitter(cfg.bottleneck_jitter, /*seed=*/0xB1B);
-  }
-
-  senders_.reserve(cfg.pairs);
-  receivers_.reserve(cfg.pairs);
-  for (std::size_t i = 0; i < cfg.pairs; ++i) {
-    Node& s = net_.add_node("sender" + std::to_string(i));
-    Node& r = net_.add_node("receiver" + std::to_string(i));
-    Link& s_up = net_.add_link(s, *left_, cfg.edge_rate, cfg.edge_delay,
-                               edge_buf);
-    Link& s_down = net_.add_link(*left_, s, cfg.edge_rate, cfg.edge_delay,
-                                 edge_buf);
-    Link& r_down = net_.add_link(*right_, r, cfg.edge_rate, cfg.edge_delay,
-                                 edge_buf);
-    Link& r_up = net_.add_link(r, *right_, cfg.edge_rate, cfg.edge_delay,
-                               edge_buf);
-
-    s.set_default_route(&s_up);
-    r.set_default_route(&r_up);
-    left_->add_route(s.id(), &s_down);
-    right_->add_route(r.id(), &r_down);
-    senders_.push_back(&s);
-    receivers_.push_back(&r);
-  }
-  // Anything the routers don't know locally crosses the bottleneck.
-  left_->set_default_route(bottleneck_);
-  right_->set_default_route(bottleneck_rev_);
-
-  monitor_ = std::make_unique<LinkMonitor>(net_.scheduler(), *bottleneck_,
-                                           cfg.monitor_interval);
-}
-
-std::unique_ptr<Topology> make_topology(const TopologySpec& spec) {
+GraphSpec topology_graph(const TopologySpec& spec) {
   return std::visit(
-      [](const auto& cfg) -> std::unique_ptr<Topology> {
+      [](const auto& cfg) -> GraphSpec {
         using T = std::decay_t<decltype(cfg)>;
         if constexpr (std::is_same_v<T, DumbbellConfig>) {
-          return std::make_unique<Dumbbell>(cfg);
+          return dumbbell_graph(cfg);
         } else if constexpr (std::is_same_v<T, ParkingLotConfig>) {
-          return std::make_unique<ParkingLot>(cfg);
+          return parking_lot_graph(cfg);
         } else if constexpr (std::is_same_v<T, FatTreeConfig>) {
-          return std::make_unique<GraphTopology>(fat_tree_graph(cfg));
+          return fat_tree_graph(cfg);
         } else {
-          return std::make_unique<GraphTopology>(wan_graph(cfg));
+          return wan_graph(cfg);
         }
       },
       spec);
+}
+
+}  // namespace
+
+std::unique_ptr<Topology> make_topology(const TopologySpec& spec) {
+  return std::make_unique<GraphTopology>(topology_graph(spec));
 }
 
 TopologyShape topology_shape(const TopologySpec& spec) {
-  return std::visit(
-      [](const auto& cfg) -> TopologyShape {
-        using T = std::decay_t<decltype(cfg)>;
-        if constexpr (std::is_same_v<T, DumbbellConfig>) {
-          return TopologyShape{"dumbbell", 2 + 2 * cfg.pairs,
-                               2 + 4 * cfg.pairs, cfg.pairs, 1};
-        } else if constexpr (std::is_same_v<T, ParkingLotConfig>) {
-          const std::size_t eps =
-              cfg.hops * cfg.cross_per_hop + cfg.long_flows;
-          return TopologyShape{"parking-lot", cfg.hops + 1 + 2 * eps,
-                               2 * cfg.hops + 4 * eps, eps, cfg.hops};
-        } else if constexpr (std::is_same_v<T, FatTreeConfig>) {
-          return graph_shape(fat_tree_graph(cfg));
-        } else {
-          return graph_shape(wan_graph(cfg));
-        }
-      },
-      spec);
+  return graph_shape(topology_graph(spec));
 }
 
 std::size_t endpoint_count(const TopologySpec& spec) noexcept {
@@ -133,34 +46,6 @@ std::size_t endpoint_count(const TopologySpec& spec) noexcept {
         }
       },
       spec);
-}
-
-std::size_t path_count(const TopologySpec& spec) noexcept {
-  return std::visit(
-      [](const auto& cfg) -> std::size_t {
-        using T = std::decay_t<decltype(cfg)>;
-        if constexpr (std::is_same_v<T, DumbbellConfig>) {
-          return 1;
-        } else if constexpr (std::is_same_v<T, ParkingLotConfig>) {
-          return cfg.hops;
-        } else if constexpr (std::is_same_v<T, FatTreeConfig>) {
-          // Both directions of every agg<->core link: k pods x k/2 aggs
-          // x k/2 cores each.
-          return 2 * (cfg.k * cfg.k * cfg.k / 4);
-        } else {
-          // Both directions of ring + chord edges; chords can collide
-          // with the ring (seeded draws), so count the actual spec.
-          return graph_shape(wan_graph(cfg)).paths;
-        }
-      },
-      spec);
-}
-
-const char* topology_class(const TopologySpec& spec) noexcept {
-  if (std::holds_alternative<DumbbellConfig>(spec)) return "dumbbell";
-  if (std::holds_alternative<ParkingLotConfig>(spec)) return "parking-lot";
-  if (std::holds_alternative<FatTreeConfig>(spec)) return "fat-tree";
-  return "wan";
 }
 
 }  // namespace phi::sim

@@ -1,123 +1,34 @@
-// topology.hpp — canned topologies. The paper's experiments all run on the
-// Figure-1 dumbbell: N sender/receiver pairs across a single bottleneck
-// whose buffer is 5x the bottleneck bandwidth-delay product. Both the
-// dumbbell and the multi-hop parking lot implement the sim::Topology
-// interface, and a TopologySpec variant constructs either — the scenario
-// engine is topology-generic (see docs/SCENARIOS.md).
+// topology.hpp — declarative topology choice. A TopologySpec variant
+// names one of the four GraphSpec generators (sim/graph_topology.hpp) by
+// its config; make_topology builds every variant as a GraphTopology, so
+// the scenario engine is topology-generic (see docs/SCENARIOS.md). The
+// paper's experiments run on the Figure-1 dumbbell; the parking lot
+// exposes per-path contexts (§2.2.2).
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <stdexcept>
 #include <variant>
-#include <vector>
 
 #include "sim/graph_topology.hpp"
-#include "sim/monitor.hpp"
-#include "sim/network.hpp"
-#include "sim/parking_lot.hpp"
 #include "sim/topology_iface.hpp"
 
 namespace phi::sim {
 
-struct DumbbellConfig {
-  std::size_t pairs = 8;
-  util::Rate bottleneck_rate = 15.0 * util::kMbps;
-  util::Duration rtt = util::milliseconds(150);  ///< end-to-end round trip
-  util::Rate edge_rate = 1000.0 * util::kMbps;
-  util::Duration edge_delay = util::milliseconds(1);  ///< per edge hop, one way
-  double buffer_bdp_multiple = 5.0;                   ///< Figure 1
-  util::Duration monitor_interval = util::milliseconds(100);
-
-  /// Bottleneck queueing discipline: the paper's drop-tail FIFO, RED+ECN
-  /// for the AQM ablation, or per-flow DRR fair queueing for the §3.1
-  /// incentive-compatibility counterfactual.
-  enum class Queue { kDropTail, kRedEcn, kFq };
-  Queue queue = Queue::kDropTail;
-  /// Random extra one-way delay on the bottleneck (reorders packets).
-  util::Duration bottleneck_jitter = 0;
-};
-
-/// The Figure-1 dumbbell. Senders index 0..pairs-1; sender i talks to
-/// receiver i. Routing is fully installed; flows just need agents attached
-/// and packets addressed sender(i) -> receiver(i).
-class Dumbbell : public Topology {
- public:
-  explicit Dumbbell(const DumbbellConfig& cfg);
-
-  Network& net() noexcept override { return net_; }
-  Scheduler& scheduler() noexcept { return net_.scheduler(); }
-
-  Node& sender(std::size_t i) { return *senders_.at(i); }
-  Node& receiver(std::size_t i) { return *receivers_.at(i); }
-  std::size_t pairs() const noexcept { return senders_.size(); }
-
-  Link& bottleneck() noexcept { return *bottleneck_; }
-  LinkMonitor& monitor() noexcept { return *monitor_; }
-
-  // Topology interface: pair i is endpoint i; the single path is the
-  // forward bottleneck.
-  std::size_t endpoint_count() const noexcept override {
-    return senders_.size();
-  }
-  Endpoint endpoint(std::size_t i) override {
-    return Endpoint{senders_.at(i), receivers_.at(i)};
-  }
-  std::size_t path_count() const noexcept override { return 1; }
-  Link& path_link(std::size_t p) override {
-    if (p != 0) throw std::out_of_range("dumbbell has one path");
-    return *bottleneck_;
-  }
-  LinkMonitor& path_monitor(std::size_t p) override {
-    if (p != 0) throw std::out_of_range("dumbbell has one path");
-    return *monitor_;
-  }
-  std::size_t endpoint_path(std::size_t i) const override {
-    if (i >= senders_.size()) throw std::out_of_range("endpoint index");
-    return 0;
-  }
-
-  const DumbbellConfig& config() const noexcept { return cfg_; }
-
-  /// One-way propagation delay sender->receiver implied by the config.
-  util::Duration one_way_delay() const noexcept;
-
-  /// Bottleneck buffer size chosen by the builder (bytes).
-  std::int64_t buffer_bytes() const noexcept { return buffer_bytes_; }
-
- private:
-  DumbbellConfig cfg_;
-  Network net_;
-  std::vector<Node*> senders_;
-  std::vector<Node*> receivers_;
-  Node* left_ = nullptr;
-  Node* right_ = nullptr;
-  Link* bottleneck_ = nullptr;
-  Link* bottleneck_rev_ = nullptr;
-  std::int64_t buffer_bytes_ = 0;
-  std::unique_ptr<LinkMonitor> monitor_;
-};
-
-/// Declarative topology choice: one variant constructs any canned or
-/// generated topology. Scenario specs carry this instead of a concrete
-/// class.
+/// Scenario specs carry this instead of a concrete topology.
 using TopologySpec = std::variant<DumbbellConfig, ParkingLotConfig,
                                   FatTreeConfig, WanGraphConfig>;
 
 /// Build the topology a spec describes.
 std::unique_ptr<Topology> make_topology(const TopologySpec& spec);
 
-/// Endpoint/path counts implied by a spec, without building it.
+/// Endpoint count implied by a spec, without generating it.
 std::size_t endpoint_count(const TopologySpec& spec) noexcept;
-std::size_t path_count(const TopologySpec& spec) noexcept;
 
-/// Human-readable topology class: "dumbbell", "parking-lot", "fat-tree"
-/// or "wan".
-const char* topology_class(const TopologySpec& spec) noexcept;
-
-/// Node/link/endpoint/path counts implied by a spec, without building a
-/// Network (and without registering any telemetry) — what run drivers
-/// record in their provenance sidecars.
+/// Class ("dumbbell", "parking-lot", "fat-tree" or "wan") and
+/// node/link/endpoint/path counts of a spec, without building a Network
+/// (and without registering any telemetry) — what run drivers record in
+/// their provenance sidecars.
 TopologyShape topology_shape(const TopologySpec& spec);
 
 }  // namespace phi::sim

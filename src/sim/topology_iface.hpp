@@ -2,9 +2,9 @@
 // A Topology owns a fully-routed Network plus the measurement substrate:
 // numbered sender/receiver endpoint pairs (flows are addressed tx -> rx,
 // routing already installed) and numbered bottleneck *paths*, each with a
-// Link and an attached LinkMonitor. The Figure-1 dumbbell is the
-// one-path instance; the parking lot exposes one path per hop, which is
-// what makes per-path congestion contexts observable (§2.2.2).
+// Link and an attached LinkMonitor. GraphTopology is the one
+// implementation: the Figure-1 dumbbell is its one-path instance, and
+// the parking lot's path per hop makes per-path contexts observable.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +24,8 @@ class Topology {
     Node* rx = nullptr;
   };
 
-  /// endpoint_path() result for flows that traverse every path (e.g. the
-  /// parking lot's long flows).
+  /// endpoint_path() result for a flow whose route crosses no path (e.g.
+  /// a fat tree's intra-rack pair).
   static constexpr std::size_t kAllPaths = static_cast<std::size_t>(-1);
 
   virtual ~Topology() = default;
@@ -44,8 +44,8 @@ class Topology {
   virtual Link& path_link(std::size_t p) = 0;
   /// Monitor attached to path `p`'s bottleneck (throws std::out_of_range).
   virtual LinkMonitor& path_monitor(std::size_t p) = 0;
-  /// Which path endpoint `i`'s flow crosses, or kAllPaths when it
-  /// traverses all of them.
+  /// Which path endpoint `i`'s flow is bottlenecked on, or kAllPaths
+  /// when it crosses none.
   virtual std::size_t endpoint_path(std::size_t i) const = 0;
 };
 

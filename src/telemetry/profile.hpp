@@ -6,7 +6,9 @@
 // exact; wall-clock is *sampled* — one event in kSampleStride of each
 // section is timed with steady_clock — so the measurement itself stays
 // cheap enough to leave on during benchmarks, and each section's total
-// is estimated from its own samples. Wall-clock never feeds back into
+// is estimated from its own samples. Every sample also reads the clock
+// once, so the cost of one read is measured once per profile and
+// subtracted from every sample. Wall-clock never feeds back into
 // simulated time, so profiling cannot perturb results.
 //
 // Under PHI_TELEMETRY_OFF the class is a stub and the scheduler hook
@@ -54,11 +56,19 @@ class LoopProfile {
     return (++tick_[s] % kSampleStride) == 0;
   }
 
-  /// Credit `ns` of sampled wall-clock covering `n` events to `s`.
+  /// Credit `ns` of sampled wall-clock covering `n` events to `s`; the
+  /// calibrated clock-read cost is charged against it.
   void add_time(unsigned s, std::uint64_t ns, std::uint64_t n = 1) noexcept {
     ns_[s] += ns;
     sampled_[s] += n;
+    clock_ns_[s] += read_ns_;
   }
+
+  /// Measure, once, what one timed sample reads for no work at all (one
+  /// steady_clock read); later samples are charged that much. Until then
+  /// nothing is subtracted.
+  void calibrate() noexcept;
+  std::uint64_t clock_read_ns() const noexcept { return read_ns_; }
 
   /// Total wall-clock of the run_until calls themselves (always timed —
   /// one clock pair per call, not per event).
@@ -69,10 +79,10 @@ class LoopProfile {
   std::uint64_t sampled_ns(unsigned s) const noexcept { return ns_[s]; }
   std::uint64_t wall_ns() const noexcept { return wall_ns_; }
 
-  /// Estimated wall-clock of all of `s`'s events: sampled time scaled by
-  /// events / sampled (0 when the section was never sampled).
+  /// Estimated wall-clock of all of `s`'s events: sampled time net of
+  /// clock reads, scaled by events / sampled (0 when never sampled).
   double estimated_ns(unsigned s) const noexcept {
-    return sampled_[s] > 0 ? static_cast<double>(ns_[s]) *
+    return sampled_[s] > 0 ? static_cast<double>(net_ns(s)) *
                                  static_cast<double>(events_[s]) /
                                  static_cast<double>(sampled_[s])
                            : 0.0;
@@ -85,13 +95,15 @@ class LoopProfile {
       events_[s] += o.events_[s];
       sampled_[s] += o.sampled_[s];
       ns_[s] += o.ns_[s];
+      clock_ns_[s] += o.clock_ns_[s];
     }
+    if (read_ns_ == 0) read_ns_ = o.read_ns_;
     wall_ns_ += o.wall_ns_;
   }
 
   void reset() noexcept {
     for (unsigned s = 0; s < kSectionCount; ++s) {
-      events_[s] = sampled_[s] = ns_[s] = 0;
+      events_[s] = sampled_[s] = ns_[s] = clock_ns_[s] = 0;
       tick_[s] = 0;
     }
     wall_ns_ = 0;
@@ -103,9 +115,15 @@ class LoopProfile {
   std::string table() const;
 
  private:
+  std::uint64_t net_ns(unsigned s) const noexcept {
+    return ns_[s] > clock_ns_[s] ? ns_[s] - clock_ns_[s] : 0;
+  }
+
   std::uint64_t events_[kSectionCount] = {};
   std::uint64_t sampled_[kSectionCount] = {};
   std::uint64_t ns_[kSectionCount] = {};
+  std::uint64_t clock_ns_[kSectionCount] = {};  ///< clock reads charged
+  std::uint64_t read_ns_ = 0;                   ///< 0: not calibrated
   std::uint64_t wall_ns_ = 0;
   std::uint32_t tick_[kSectionCount] = {};
 };
@@ -128,6 +146,8 @@ class LoopProfile {
   void count(unsigned, std::uint64_t = 1) noexcept {}
   bool gate(unsigned) noexcept { return false; }
   void add_time(unsigned, std::uint64_t, std::uint64_t = 1) noexcept {}
+  void calibrate() noexcept {}
+  std::uint64_t clock_read_ns() const noexcept { return 0; }
   void add_wall(std::uint64_t) noexcept {}
   std::uint64_t events(unsigned) const noexcept { return 0; }
   std::uint64_t sampled(unsigned) const noexcept { return 0; }

@@ -6,7 +6,6 @@
 #include "flow/bottleneck.hpp"
 
 #include "tcp/app.hpp"
-#include "sim/parking_lot.hpp"
 #include "sim/topology.hpp"
 #include "tcp/sender.hpp"
 #include "tcp/sink.hpp"
@@ -102,7 +101,7 @@ TEST(Detector, EndToEndDumbbellFlowsCluster) {
   // correlate and cluster into a single group.
   sim::DumbbellConfig cfg;
   cfg.pairs = 4;
-  sim::Dumbbell d(cfg);
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
   SharedBottleneckDetector det;
 
   struct TracingSink : tcp::TcpSink {
@@ -112,11 +111,12 @@ TEST(Detector, EndToEndDumbbellFlowsCluster) {
   std::vector<std::unique_ptr<tcp::TcpSink>> sinks;
   for (std::size_t i = 0; i < 4; ++i) {
     const sim::FlowId flow = 10 + i;
+    const sim::Topology::Endpoint ep = d.endpoint(i);
     senders.push_back(std::make_unique<tcp::TcpSender>(
-        d.scheduler(), d.sender(i), d.receiver(i).id(), flow,
+        d.scheduler(), *ep.tx, ep.rx->id(), flow,
         std::make_unique<tcp::Cubic>(tcp::CubicParams{64, 8, 0.2})));
-    sinks.push_back(std::make_unique<tcp::TcpSink>(d.scheduler(),
-                                                   d.receiver(i), flow));
+    sinks.push_back(
+        std::make_unique<tcp::TcpSink>(d.scheduler(), *ep.rx, flow));
     senders.back()->start_connection(1'000'000, [](const tcp::ConnStats&) {});
   }
   // Sample each sender's smoothed RTT spread every 100 ms.
@@ -148,7 +148,7 @@ TEST(Detector, ParkingLotHopsSeparate) {
   sim::ParkingLotConfig cfg;
   cfg.hops = 2;
   cfg.cross_per_hop = 4;
-  sim::ParkingLot lot(cfg);
+  sim::GraphTopology lot(sim::parking_lot_graph(cfg));
   SharedBottleneckDetector det;
 
   std::vector<std::unique_ptr<tcp::TcpSender>> senders;
@@ -159,12 +159,13 @@ TEST(Detector, ParkingLotHopsSeparate) {
   for (std::size_t h = 0; h < 2; ++h) {
     for (std::size_t i = 0; i < 4; ++i) {
       const sim::FlowId flow = 100 * (h + 1) + i;
+      const sim::Topology::Endpoint ep =
+          lot.endpoint(h * cfg.cross_per_hop + i);
       senders.push_back(std::make_unique<tcp::TcpSender>(
-          lot.scheduler(), lot.cross_sender(h, i),
-          lot.cross_receiver(h, i).id(), flow,
+          lot.scheduler(), *ep.tx, ep.rx->id(), flow,
           std::make_unique<tcp::Cubic>(tcp::CubicParams{64, 8, 0.2})));
       sinks.push_back(std::make_unique<tcp::TcpSink>(
-          lot.scheduler(), lot.cross_receiver(h, i), flow));
+          lot.scheduler(), *ep.rx, flow));
       if (i < 2) {
         // Probes: long-running flows whose RTT tracks the hop queue.
         senders.back()->start_connection(1'000'000,

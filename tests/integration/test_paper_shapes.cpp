@@ -104,7 +104,7 @@ TEST(PaperShape, PhiLoopBeatsAutonomousDefaults) {
   const auto after = run_scenario_with_setup(
       base, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](LiveScenario& live) -> AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         return [&server, sched](std::size_t i)
                    -> std::unique_ptr<tcp::ConnectionAdvisor> {
           return std::make_unique<PhiCubicAdvisor>(

@@ -39,7 +39,7 @@ TEST(PhiClient, AdvisorInstallsRecommendedParams) {
       cfg,
       [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](LiveScenario& live) -> AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         sched->schedule_at(cfg.duration - 1, [&] {
           for (const auto* adv : advisors)
             snapshots.push_back(
@@ -88,7 +88,7 @@ TEST(PhiClient, FallbackWhenNoRecommendation) {
   const auto metrics = run_scenario_with_setup(
       cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](LiveScenario& live) -> AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         sched->schedule_at(cfg.duration - 1, [&] {
           if (captured != nullptr) {
             recommended = captured->recommended_connections();

@@ -81,23 +81,23 @@ TEST(CmEndToEnd, SecondConnectionInheritsWindow) {
   // share of the learned window instead of 2 segments.
   sim::DumbbellConfig cfg;
   cfg.pairs = 2;
-  sim::Dumbbell d(cfg);
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
   // Bounded ramp (ssthresh 256 < path capacity) so the ensemble settles
   // instead of overshooting into recovery before the checkpoint.
   auto st = std::make_shared<SharedCongestionState>(
       tcp::CubicParams{256, 2, 0.2});
 
-  tcp::TcpSender a(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  tcp::TcpSender a(d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 1,
                    std::make_unique<CmFlowController>(st, 1));
-  tcp::TcpSink sink_a(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink_a(d.scheduler(), *d.endpoint(0).rx, 1);
   a.start_connection(100000, [](const tcp::ConnStats&) {});
   d.net().run_until(util::seconds(5));
   const double learned = st->total_window();
   ASSERT_GT(learned, 20.0);
 
-  tcp::TcpSender b(d.scheduler(), d.sender(1), d.receiver(1).id(), 2,
+  tcp::TcpSender b(d.scheduler(), *d.endpoint(1).tx, d.endpoint(1).rx->id(), 2,
                    std::make_unique<CmFlowController>(st, 2));
-  tcp::TcpSink sink_b(d.scheduler(), d.receiver(1), 2);
+  tcp::TcpSink sink_b(d.scheduler(), *d.endpoint(1).rx, 2);
   bool done = false;
   tcp::ConnStats stats;
   b.start_connection(200, [&](const tcp::ConnStats& s) {

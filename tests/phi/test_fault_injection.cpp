@@ -294,11 +294,10 @@ double scenario_gap_after_crashes(util::Duration lease,
   (void)run_scenario_with_setup(
       cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](LiveScenario& live) -> AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         server = std::make_unique<ContextServer>(
             scfg, [sched] { return sched->now(); });
-        server->set_path_capacity(kPath,
-                                  live.dumbbell->config().bottleneck_rate);
+        server->set_path_capacity(kPath, live.topology->path_link(0).rate());
         FaultConfig fc;
         fc.crash = 0.02;
         fc.crash_until = util::seconds(45);
@@ -363,11 +362,11 @@ TEST(FaultInjection, ScenarioDuplicatesDoNotInflateUtilization) {
     (void)run_scenario_with_setup(
         cfg, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
         [&](LiveScenario& live) -> AdvisorFactory {
-          sim::Scheduler* sched = &live.dumbbell->scheduler();
+          sim::Scheduler* sched = &live.topology->scheduler();
           server = std::make_unique<ContextServer>(
               scfg, [sched] { return sched->now(); });
-          server->set_path_capacity(
-              kPath, live.dumbbell->config().bottleneck_rate);
+          server->set_path_capacity(kPath,
+                                    live.topology->path_link(0).rate());
           FaultConfig fc;
           fc.duplicate_report = dup_rate;
           fc.seed = 3;

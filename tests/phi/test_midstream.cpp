@@ -16,14 +16,15 @@ TEST(MidStream, ReporterDeltasSumToAcked) {
   // Direct arithmetic check with a scripted sender on a mini dumbbell.
   sim::DumbbellConfig net;
   net.pairs = 1;
-  sim::Dumbbell d(net);
+  sim::GraphTopology d(sim::dumbbell_graph(net));
   ContextServer server;
   server.set_path_capacity(kPath, net.bottleneck_rate);
 
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<tcp::Cubic>(
                             tcp::CubicParams{64, 8, 0.2}));
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   MidStreamAdvisor advisor(d.scheduler(), server, kPath, 1,
                            util::seconds(1));
 
@@ -59,12 +60,13 @@ TEST(MidStream, ReporterDeltasSumToAcked) {
 TEST(MidStream, ShortConnectionJustFinalReport) {
   sim::DumbbellConfig net;
   net.pairs = 1;
-  sim::Dumbbell d(net);
+  sim::GraphTopology d(sim::dumbbell_graph(net));
   ContextServer server;
   server.set_path_capacity(kPath, net.bottleneck_rate);
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(), 1,
                         std::make_unique<tcp::Cubic>());
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   MidStreamAdvisor advisor(d.scheduler(), server, kPath, 1,
                            util::seconds(5));
   advisor.before_connection(sender);

@@ -166,7 +166,7 @@ TEST(ScenarioPresets, RegistryCoversBothTopologyClassesUniquely) {
   for (std::size_t i = 0; i < reg.size(); ++i) {
     EXPECT_FALSE(reg[i].name.empty());
     EXPECT_FALSE(reg[i].summary.empty());
-    const char* cls = sim::topology_class(reg[i].spec.topology);
+    const char* cls = sim::topology_shape(reg[i].spec.topology).klass;
     saw_dumbbell |= std::string(cls) == "dumbbell";
     saw_lot |= std::string(cls) == "parking-lot";
     for (std::size_t j = i + 1; j < reg.size(); ++j)

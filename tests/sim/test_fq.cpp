@@ -154,16 +154,18 @@ TEST(FqEndToEnd, IsolatesPoliteFlowFromAggressor) {
     DumbbellConfig cfg;
     cfg.pairs = 2;
     cfg.queue = queue;
-    Dumbbell d(cfg);
+    GraphTopology d(dumbbell_graph(cfg));
     // Polite: tuned small-ssthresh Cubic. Aggressor: default huge
     // ssthresh slow-start blaster, restarted repeatedly.
-    tcp::TcpSender polite(d.scheduler(), d.sender(0), d.receiver(0).id(),
+    tcp::TcpSender polite(d.scheduler(), *d.endpoint(0).tx,
+                          d.endpoint(0).rx->id(),
                           1, std::make_unique<tcp::Cubic>(
                                  tcp::CubicParams{32, 8, 0.5}));
-    tcp::TcpSink sink0(d.scheduler(), d.receiver(0), 1);
-    tcp::TcpSender blast(d.scheduler(), d.sender(1), d.receiver(1).id(), 2,
+    tcp::TcpSink sink0(d.scheduler(), *d.endpoint(0).rx, 1);
+    tcp::TcpSender blast(d.scheduler(), *d.endpoint(1).tx,
+                         d.endpoint(1).rx->id(), 2,
                          std::make_unique<tcp::Cubic>());
-    tcp::TcpSink sink1(d.scheduler(), d.receiver(1), 2);
+    tcp::TcpSink sink1(d.scheduler(), *d.endpoint(1).rx, 2);
     polite.start_connection(1'000'000, [](const tcp::ConnStats&) {});
     blast.start_connection(1'000'000, [](const tcp::ConnStats&) {});
     d.net().run_until(util::seconds(30));

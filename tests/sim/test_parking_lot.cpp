@@ -2,7 +2,7 @@
 
 #include <memory>
 
-#include "sim/parking_lot.hpp"
+#include "sim/graph_topology.hpp"
 #include "tcp/sender.hpp"
 #include "tcp/sink.hpp"
 
@@ -12,7 +12,7 @@ namespace {
 TEST(ParkingLot, RejectsZeroHops) {
   ParkingLotConfig cfg;
   cfg.hops = 0;
-  EXPECT_THROW(ParkingLot{cfg}, std::invalid_argument);
+  EXPECT_THROW(parking_lot_graph(cfg), std::invalid_argument);
 }
 
 TEST(ParkingLot, LongPathTraversesAllHops) {
@@ -20,7 +20,8 @@ TEST(ParkingLot, LongPathTraversesAllHops) {
   cfg.hops = 3;
   cfg.cross_per_hop = 1;
   cfg.long_flows = 1;
-  ParkingLot lot(cfg);
+  GraphTopology lot(parking_lot_graph(cfg));
+  const Topology::Endpoint ep = lot.endpoint(3);  // after 3 x 1 crosses
 
   struct Probe : Agent {
     util::Time arrived = -1;
@@ -28,45 +29,47 @@ TEST(ParkingLot, LongPathTraversesAllHops) {
     void on_packet(const Packet&) override { arrived = sched->now(); }
   } probe;
   probe.sched = &lot.scheduler();
-  lot.long_receiver(0).attach(1, &probe);
+  ep.rx->attach(1, &probe);
 
   Packet p;
-  p.src = lot.long_sender(0).id();
-  p.dst = lot.long_receiver(0).id();
+  p.src = ep.tx->id();
+  p.dst = ep.rx->id();
   p.flow = 1;
-  lot.long_sender(0).send(p);
+  ep.tx->send(p);
   lot.net().run_until(util::seconds(2));
 
   // 3 hops x 20 ms + 2 edges x 1 ms + serialization.
   ASSERT_GE(probe.arrived, util::milliseconds(62));
   EXPECT_LE(probe.arrived, util::milliseconds(70));
-  lot.long_receiver(0).detach(1);
+  EXPECT_EQ(lot.endpoint_hops(3), 5u);  // 2 edge links + 3 hops
+  ep.rx->detach(1);
 }
 
 TEST(ParkingLot, CrossTrafficUsesOnlyItsHop) {
   ParkingLotConfig cfg;
   cfg.hops = 2;
   cfg.cross_per_hop = 1;
-  ParkingLot lot(cfg);
+  GraphTopology lot(parking_lot_graph(cfg));
+  const Topology::Endpoint ep = lot.endpoint(1);  // hop 1's cross pair
 
   struct Probe : Agent {
     int count = 0;
     void on_packet(const Packet&) override { ++count; }
   } probe;
-  lot.cross_receiver(1, 0).attach(9, &probe);
+  ep.rx->attach(9, &probe);
 
-  const auto hop0_before = lot.hop_link(0).packets_transmitted();
+  const auto hop0_before = lot.path_link(0).packets_transmitted();
   Packet p;
-  p.src = lot.cross_sender(1, 0).id();
-  p.dst = lot.cross_receiver(1, 0).id();
+  p.src = ep.tx->id();
+  p.dst = ep.rx->id();
   p.flow = 9;
-  lot.cross_sender(1, 0).send(p);
+  ep.tx->send(p);
   lot.net().run_until(util::seconds(1));
 
   EXPECT_EQ(probe.count, 1);
-  EXPECT_EQ(lot.hop_link(0).packets_transmitted(), hop0_before);
-  EXPECT_GT(lot.hop_link(1).packets_transmitted(), 0u);
-  lot.cross_receiver(1, 0).detach(9);
+  EXPECT_EQ(lot.path_link(0).packets_transmitted(), hop0_before);
+  EXPECT_GT(lot.path_link(1).packets_transmitted(), 0u);
+  ep.rx->detach(9);
 }
 
 TEST(ParkingLot, ReverseAcksFlow) {
@@ -75,12 +78,12 @@ TEST(ParkingLot, ReverseAcksFlow) {
   cfg.hops = 2;
   cfg.cross_per_hop = 1;
   cfg.long_flows = 1;
-  ParkingLot lot(cfg);
-  tcp::TcpSender sender(lot.scheduler(), lot.long_sender(0),
-                        lot.long_receiver(0).id(), 1,
+  GraphTopology lot(parking_lot_graph(cfg));
+  const Topology::Endpoint ep = lot.endpoint(2);  // the long pair
+  tcp::TcpSender sender(lot.scheduler(), *ep.tx, ep.rx->id(), 1,
                         std::make_unique<tcp::Cubic>(
                             tcp::CubicParams{64, 8, 0.2}));
-  tcp::TcpSink sink(lot.scheduler(), lot.long_receiver(0), 1);
+  tcp::TcpSink sink(lot.scheduler(), *ep.rx, 1);
   bool done = false;
   sender.start_connection(500, [&](const tcp::ConnStats&) { done = true; });
   lot.net().run_until(util::seconds(60));
@@ -92,22 +95,22 @@ TEST(ParkingLot, HopsCarryIndependentLoad) {
   ParkingLotConfig cfg;
   cfg.hops = 2;
   cfg.cross_per_hop = 2;
-  ParkingLot lot(cfg);
+  GraphTopology lot(parking_lot_graph(cfg));
   std::vector<std::unique_ptr<tcp::TcpSender>> senders;
   std::vector<std::unique_ptr<tcp::TcpSink>> sinks;
   for (std::size_t i = 0; i < 2; ++i) {
     const FlowId flow = 100 + i;
+    const Topology::Endpoint ep = lot.endpoint(i);  // hop 0's crosses
     senders.push_back(std::make_unique<tcp::TcpSender>(
-        lot.scheduler(), lot.cross_sender(0, i),
-        lot.cross_receiver(0, i).id(), flow,
+        lot.scheduler(), *ep.tx, ep.rx->id(), flow,
         std::make_unique<tcp::Cubic>(tcp::CubicParams{64, 8, 0.2})));
-    sinks.push_back(std::make_unique<tcp::TcpSink>(
-        lot.scheduler(), lot.cross_receiver(0, i), flow));
+    sinks.push_back(
+        std::make_unique<tcp::TcpSink>(lot.scheduler(), *ep.rx, flow));
     senders.back()->start_connection(100000, [](const tcp::ConnStats&) {});
   }
   lot.net().run_until(util::seconds(20));
-  EXPECT_GT(lot.hop_monitor(0).recent_utilization(), 0.5);
-  EXPECT_LT(lot.hop_monitor(1).recent_utilization(), 0.05);
+  EXPECT_GT(lot.path_monitor(0).recent_utilization(), 0.5);
+  EXPECT_LT(lot.path_monitor(1).recent_utilization(), 0.05);
 }
 
 }  // namespace

@@ -21,89 +21,94 @@ TEST(Dumbbell, BufferIsFiveTimesBdp) {
   cfg.bottleneck_rate = 15.0 * util::kMbps;
   cfg.rtt = util::milliseconds(150);
   cfg.buffer_bdp_multiple = 5.0;
-  Dumbbell d(cfg);
+  GraphTopology d(dumbbell_graph(cfg));
   // BDP = 281250 bytes; x5 = 1406250.
-  EXPECT_EQ(d.buffer_bytes(), 1406250);
-  EXPECT_EQ(d.bottleneck().queue().capacity_bytes(), 1406250);
+  EXPECT_EQ(d.path_link(0).queue().capacity_bytes(), 1406250);
+  // Edge links get 10x the bottleneck buffer plus 1 MB.
+  EXPECT_EQ(d.net().links()[2]->queue().capacity_bytes(), 15062500);
 }
 
 TEST(Dumbbell, OneWayDeliveryMatchesConfiguredRtt) {
   DumbbellConfig cfg;
   cfg.pairs = 2;
   cfg.rtt = util::milliseconds(150);
-  Dumbbell d(cfg);
+  GraphTopology d(dumbbell_graph(cfg));
+  const Topology::Endpoint ep = d.endpoint(1);
 
   Probe probe;
   probe.sched = &d.scheduler();
-  d.receiver(1).attach(5, &probe);
+  ep.rx->attach(5, &probe);
 
   Packet p;
-  p.src = d.sender(1).id();
-  p.dst = d.receiver(1).id();
+  p.src = ep.tx->id();
+  p.dst = ep.rx->id();
   p.flow = 5;
   p.size_bytes = kSegmentBytes;
-  d.sender(1).send(p);
+  ep.tx->send(p);
   d.net().run_until(util::seconds(1));
 
   ASSERT_GT(probe.count, 0u);
   // One-way propagation is rtt/2; serialization adds a little.
   EXPECT_GE(probe.arrived, util::milliseconds(75));
   EXPECT_LE(probe.arrived, util::milliseconds(78));
-  d.receiver(1).detach(5);
+  ep.rx->detach(5);
 }
 
 TEST(Dumbbell, ReversePathWorks) {
   DumbbellConfig cfg;
   cfg.pairs = 3;
-  Dumbbell d(cfg);
+  GraphTopology d(dumbbell_graph(cfg));
+  const Topology::Endpoint ep = d.endpoint(2);
   Probe probe;
   probe.sched = &d.scheduler();
-  d.sender(2).attach(9, &probe);
+  ep.tx->attach(9, &probe);
 
   Packet p;
-  p.src = d.receiver(2).id();
-  p.dst = d.sender(2).id();
+  p.src = ep.rx->id();
+  p.dst = ep.tx->id();
   p.flow = 9;
   p.size_bytes = kAckBytes;
-  d.receiver(2).send(p);
+  ep.rx->send(p);
   d.net().run_until(util::seconds(1));
   EXPECT_EQ(probe.count, 1u);
-  d.sender(2).detach(9);
+  ep.tx->detach(9);
 }
 
 TEST(Dumbbell, CrossPairIsolation) {
   // Packets for pair 0 must not arrive at receiver 1's agents.
   DumbbellConfig cfg;
   cfg.pairs = 2;
-  Dumbbell d(cfg);
+  GraphTopology d(dumbbell_graph(cfg));
+  const Topology::Endpoint ep0 = d.endpoint(0);
+  const Topology::Endpoint ep1 = d.endpoint(1);
   Probe right, wrong;
   right.sched = wrong.sched = &d.scheduler();
-  d.receiver(0).attach(1, &right);
-  d.receiver(1).attach(1, &wrong);
+  ep0.rx->attach(1, &right);
+  ep1.rx->attach(1, &wrong);
 
   Packet p;
-  p.src = d.sender(0).id();
-  p.dst = d.receiver(0).id();
+  p.src = ep0.tx->id();
+  p.dst = ep0.rx->id();
   p.flow = 1;
-  d.sender(0).send(p);
+  ep0.tx->send(p);
   d.net().run_until(util::seconds(1));
   EXPECT_EQ(right.count, 1u);
   EXPECT_EQ(wrong.count, 0u);
-  d.receiver(0).detach(1);
-  d.receiver(1).detach(1);
+  ep0.rx->detach(1);
+  ep1.rx->detach(1);
 }
 
 TEST(Dumbbell, RejectsZeroPairs) {
   DumbbellConfig cfg;
   cfg.pairs = 0;
-  EXPECT_THROW(Dumbbell{cfg}, std::invalid_argument);
+  EXPECT_THROW(dumbbell_graph(cfg), std::invalid_argument);
 }
 
 TEST(Dumbbell, RejectsRttSmallerThanEdgeDelays) {
   DumbbellConfig cfg;
   cfg.rtt = util::milliseconds(2);
   cfg.edge_delay = util::milliseconds(1);
-  EXPECT_THROW(Dumbbell{cfg}, std::invalid_argument);
+  EXPECT_THROW(dumbbell_graph(cfg), std::invalid_argument);
 }
 
 // Conservation property: everything injected is delivered, dropped, or
@@ -113,31 +118,32 @@ class Conservation : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(Conservation, PacketsAreConserved) {
   DumbbellConfig cfg;
   cfg.pairs = 4;
-  Dumbbell d(cfg);
+  GraphTopology d(dumbbell_graph(cfg));
   util::Rng rng(GetParam());
 
   std::vector<Probe> probes(4);
   std::uint64_t injected = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     probes[i].sched = &d.scheduler();
-    d.receiver(i).attach(100 + i, &probes[i]);
+    d.endpoint(i).rx->attach(100 + i, &probes[i]);
   }
   for (int burst = 0; burst < 50; ++burst) {
     const std::size_t i = rng.below(4);
+    const Topology::Endpoint ep = d.endpoint(i);
     Packet p;
-    p.src = d.sender(i).id();
-    p.dst = d.receiver(i).id();
+    p.src = ep.tx->id();
+    p.dst = ep.rx->id();
     p.flow = 100 + i;
-    d.sender(i).send(p);
+    ep.tx->send(p);
     ++injected;
   }
   d.net().run_until(util::seconds(5));
 
   std::uint64_t delivered = 0;
   for (const auto& pr : probes) delivered += pr.count;
-  const std::uint64_t dropped = d.bottleneck().queue().stats().dropped;
+  const std::uint64_t dropped = d.path_link(0).queue().stats().dropped;
   EXPECT_EQ(delivered + dropped, injected);
-  for (std::size_t i = 0; i < 4; ++i) d.receiver(i).detach(100 + i);
+  for (std::size_t i = 0; i < 4; ++i) d.endpoint(i).rx->detach(100 + i);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Conservation,

@@ -11,11 +11,12 @@ namespace phi::tcp {
 namespace {
 
 struct AppHarness {
-  AppHarness(OnOffConfig cfg, std::uint64_t seed = 7) : d(net_cfg()) {
-    sender = std::make_unique<TcpSender>(d.scheduler(), d.sender(0),
-                                         d.receiver(0).id(), 1,
+  AppHarness(OnOffConfig cfg, std::uint64_t seed = 7)
+      : d(sim::dumbbell_graph(net_cfg())) {
+    sender = std::make_unique<TcpSender>(d.scheduler(), *d.endpoint(0).tx,
+                                         d.endpoint(0).rx->id(), 1,
                                          std::make_unique<Cubic>());
-    sink = std::make_unique<TcpSink>(d.scheduler(), d.receiver(0), 1);
+    sink = std::make_unique<TcpSink>(d.scheduler(), *d.endpoint(0).rx, 1);
     app = std::make_unique<OnOffApp>(d.scheduler(), *sender, cfg, seed);
   }
   static sim::DumbbellConfig net_cfg() {
@@ -23,7 +24,7 @@ struct AppHarness {
     c.pairs = 1;
     return c;
   }
-  sim::Dumbbell d;
+  sim::GraphTopology d;
   std::unique_ptr<TcpSender> sender;
   std::unique_ptr<TcpSink> sink;
   std::unique_ptr<OnOffApp> app;

@@ -15,19 +15,17 @@
 #include "tcp/sender.hpp"
 #include "tcp/sink.hpp"
 #include "tcp/pcc.hpp"
-#include "tcp/vegas.hpp"
 
 namespace phi::tcp {
 namespace {
 
-enum class Cc { kCubic, kNewReno, kVegas, kAimd, kRemy, kPcc };
+enum class Cc { kCubic, kNewReno, kAimd, kRemy, kPcc };
 enum class Path { kClean, kTinyBuffer, kJitter, kRedEcn, kDelAck, kSack };
 
 std::string cc_name(Cc cc) {
   switch (cc) {
     case Cc::kCubic: return "cubic";
     case Cc::kNewReno: return "newreno";
-    case Cc::kVegas: return "vegas";
     case Cc::kAimd: return "aimd";
     case Cc::kRemy: return "remy";
     case Cc::kPcc: return "pcc";
@@ -53,8 +51,6 @@ std::unique_ptr<CongestionControl> make_cc(Cc cc) {
       return std::make_unique<Cubic>(CubicParams{64, 8, 0.2});
     case Cc::kNewReno:
       return std::make_unique<NewReno>();
-    case Cc::kVegas:
-      return std::make_unique<Vegas>();
     case Cc::kAimd:
       return std::make_unique<core::WeightedAimd>(1.0, 0.5);
     case Cc::kPcc:
@@ -95,11 +91,11 @@ TEST_P(TransportMatrix, ExactlyOnceDeliveryAndConservation) {
     case Path::kSack:
       break;
   }
-  sim::Dumbbell d(cfg);
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
 
-  TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  TcpSender sender(d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 1,
                    make_cc(cc));
-  TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   if (path == Path::kRedEcn) sender.set_ecn(true);
   if (path == Path::kDelAck) sink.set_delayed_ack(2);
   if (path == Path::kSack) {
@@ -108,9 +104,9 @@ TEST_P(TransportMatrix, ExactlyOnceDeliveryAndConservation) {
   }
 
   // Background competitor.
-  TcpSender rival(d.scheduler(), d.sender(1), d.receiver(1).id(), 2,
+  TcpSender rival(d.scheduler(), *d.endpoint(1).tx, d.endpoint(1).rx->id(), 2,
                   std::make_unique<Cubic>());
-  TcpSink rival_sink(d.scheduler(), d.receiver(1), 2);
+  TcpSink rival_sink(d.scheduler(), *d.endpoint(1).rx, 2);
   rival.start_connection(1'000'000, [](const ConnStats&) {});
 
   constexpr std::int64_t kSegments = 1500;
@@ -142,8 +138,7 @@ TEST_P(TransportMatrix, ExactlyOnceDeliveryAndConservation) {
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, TransportMatrix,
     ::testing::Combine(::testing::Values(Cc::kCubic, Cc::kNewReno,
-                                         Cc::kVegas, Cc::kAimd, Cc::kRemy,
-                                         Cc::kPcc),
+                                         Cc::kAimd, Cc::kRemy, Cc::kPcc),
                        ::testing::Values(Path::kClean, Path::kTinyBuffer,
                                          Path::kJitter, Path::kRedEcn,
                                          Path::kDelAck, Path::kSack)),
@@ -155,10 +150,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DelayedAck, HalvesAckVolume) {
   sim::DumbbellConfig cfg;
   cfg.pairs = 1;
-  sim::Dumbbell d(cfg);
-  TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
+  TcpSender sender(d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 1,
                    std::make_unique<Cubic>(CubicParams{64, 8, 0.2}));
-  TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   sink.set_delayed_ack(2);
   bool done = false;
   sender.start_connection(2000, [&](const ConnStats&) { done = true; });
@@ -172,10 +167,10 @@ TEST(DelayedAck, HalvesAckVolume) {
 TEST(DelayedAck, TimerFlushesLoneSegment) {
   sim::DumbbellConfig cfg;
   cfg.pairs = 1;
-  sim::Dumbbell d(cfg);
-  TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
+  TcpSender sender(d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 1,
                    std::make_unique<Cubic>(CubicParams{64, 1, 0.2}));
-  TcpSink sink(d.scheduler(), d.receiver(0), 1);
+  TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
   sink.set_delayed_ack(2);
   bool done = false;
   // A single segment: only the delack timer (or FIN rule) can ACK it.

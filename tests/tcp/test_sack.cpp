@@ -11,11 +11,12 @@ namespace phi::tcp {
 namespace {
 
 struct SackHarness {
-  explicit SackHarness(sim::DumbbellConfig cfg = def()) : d(cfg) {
+  explicit SackHarness(sim::DumbbellConfig cfg = def())
+      : d(sim::dumbbell_graph(cfg)) {
     sender = std::make_unique<TcpSender>(
-        d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+        d.scheduler(), *d.endpoint(0).tx, d.endpoint(0).rx->id(), 1,
         std::make_unique<Cubic>(CubicParams{}));
-    sink = std::make_unique<TcpSink>(d.scheduler(), d.receiver(0), 1);
+    sink = std::make_unique<TcpSink>(d.scheduler(), *d.endpoint(0).rx, 1);
     sender->set_sack(true);
     sink->set_sack(true);
   }
@@ -36,7 +37,7 @@ struct SackHarness {
     EXPECT_TRUE(done) << "SACK transfer did not complete";
     return out;
   }
-  sim::Dumbbell d;
+  sim::GraphTopology d;
   std::unique_ptr<TcpSender> sender;
   std::unique_ptr<TcpSink> sink;
 };
@@ -173,10 +174,11 @@ TEST(Sack, NotWorseThanNewRenoUnderOvershoot) {
   auto run = [](bool sack) {
     sim::DumbbellConfig cfg;
     cfg.pairs = 1;
-    sim::Dumbbell d(cfg);
-    TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(), 1,
+    sim::GraphTopology d(sim::dumbbell_graph(cfg));
+    TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                     d.endpoint(0).rx->id(), 1,
                      std::make_unique<Cubic>());
-    TcpSink sink(d.scheduler(), d.receiver(0), 1);
+    TcpSink sink(d.scheduler(), *d.endpoint(0).rx, 1);
     sender.set_sack(sack);
     sink.set_sack(sack);
     ConnStats out;
@@ -213,9 +215,9 @@ TEST(Sack, SurvivesOutage) {
   bool done = false;
   h.sender->start_connection(4000, [&](const ConnStats&) { done = true; });
   h.d.scheduler().schedule_at(util::seconds(1),
-                              [&] { h.d.bottleneck().set_up(false); });
+                              [&] { h.d.path_link(0).set_up(false); });
   h.d.scheduler().schedule_at(util::seconds(4),
-                              [&] { h.d.bottleneck().set_up(true); });
+                              [&] { h.d.path_link(0).set_up(true); });
   h.d.net().run_until(util::seconds(120));
   EXPECT_TRUE(done);
   EXPECT_EQ(h.sink->next_expected(), 4000);

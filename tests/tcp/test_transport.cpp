@@ -12,11 +12,12 @@ namespace phi::tcp {
 namespace {
 
 struct Harness {
-  explicit Harness(sim::DumbbellConfig cfg = make_default()) : d(cfg) {
-    sender = std::make_unique<TcpSender>(d.scheduler(), d.sender(0),
-                                         d.receiver(0).id(), 1,
+  explicit Harness(sim::DumbbellConfig cfg = make_default())
+      : d(sim::dumbbell_graph(cfg)) {
+    sender = std::make_unique<TcpSender>(d.scheduler(), *d.endpoint(0).tx,
+                                         d.endpoint(0).rx->id(), 1,
                                          std::make_unique<Cubic>());
-    sink = std::make_unique<TcpSink>(d.scheduler(), d.receiver(0), 1);
+    sink = std::make_unique<TcpSink>(d.scheduler(), *d.endpoint(0).rx, 1);
   }
   static sim::DumbbellConfig make_default() {
     sim::DumbbellConfig cfg;
@@ -35,7 +36,7 @@ struct Harness {
     EXPECT_TRUE(done) << "transfer did not complete";
     return out;
   }
-  sim::Dumbbell d;
+  sim::GraphTopology d;
   std::unique_ptr<TcpSender> sender;
   std::unique_ptr<TcpSink> sink;
 };
@@ -157,7 +158,7 @@ TEST(Transport, PriorityStampsPackets) {
     }
   } tap;
   tap.inner = h.sink.get();
-  h.d.receiver(0).attach(1, &tap);  // replaces sink registration
+  h.d.endpoint(0).rx->attach(1, &tap);  // replaces sink registration
   (void)h.transfer(5);
   EXPECT_EQ(tap.seen, 3u);
 }

@@ -291,6 +291,36 @@ TEST(LoopProfileTest, SharesComeFromEstimatedTotals) {
       << table;
 }
 
+TEST(LoopProfileTest, CalibratedClockReadIsChargedOncePerSample) {
+  LoopProfile prof;
+  prof.add_time(LoopProfile::kDelivery, 500, 4);  // before calibration
+  prof.calibrate();
+  const std::uint64_t read = prof.clock_read_ns();
+  ASSERT_GT(read, 0u);
+  EXPECT_LT(read, 100'000u);
+  prof.calibrate();  // once per profile
+  EXPECT_EQ(prof.clock_read_ns(), read);
+
+  // Two more samples of 4 events each, every one 100 ns of work plus the
+  // read; the first sample stays uncharged.
+  prof.add_time(LoopProfile::kDelivery, 400 + read, 4);
+  prof.add_time(LoopProfile::kDelivery, 400 + read, 4);
+  prof.count(LoopProfile::kDelivery, 120);
+  EXPECT_EQ(prof.sampled_ns(LoopProfile::kDelivery), 1300 + 2 * read);
+  EXPECT_DOUBLE_EQ(prof.estimated_ns(LoopProfile::kDelivery),
+                   1300.0 * 120 / 12);
+
+  // A merged profile keeps the charges and reports the read cost.
+  LoopProfile all;
+  all.merge(prof);
+  EXPECT_DOUBLE_EQ(all.estimated_ns(LoopProfile::kDelivery),
+                   prof.estimated_ns(LoopProfile::kDelivery));
+  EXPECT_EQ(all.clock_read_ns(), read);
+  EXPECT_NE(all.table().find("net of " + std::to_string(read) +
+                             " ns per clock read"),
+            std::string::npos);
+}
+
 // --- Time series -------------------------------------------------------
 
 TEST(TimeSeriesTest, MergeAppendsInSubmissionOrder) {

@@ -16,11 +16,12 @@ TEST(Smoke, SingleCubicFlowFillsBottleneck) {
   cfg.pairs = 1;
   cfg.bottleneck_rate = 15.0 * util::kMbps;
   cfg.rtt = util::milliseconds(150);
-  sim::Dumbbell d(cfg);
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
 
-  tcp::TcpSender sender(d.scheduler(), d.sender(0), d.receiver(0).id(),
+  tcp::TcpSender sender(d.scheduler(), *d.endpoint(0).tx,
+                        d.endpoint(0).rx->id(),
                         /*flow=*/1, std::make_unique<tcp::Cubic>());
-  tcp::TcpSink sink(d.scheduler(), d.receiver(0), /*flow=*/1);
+  tcp::TcpSink sink(d.scheduler(), *d.endpoint(0).rx, /*flow=*/1);
 
   bool done = false;
   tcp::ConnStats stats;
@@ -47,7 +48,7 @@ TEST(Smoke, SingleCubicFlowFillsBottleneck) {
 TEST(Smoke, EightOnOffSendersProduceTraffic) {
   sim::DumbbellConfig cfg;
   cfg.pairs = 8;
-  sim::Dumbbell d(cfg);
+  sim::GraphTopology d(sim::dumbbell_graph(cfg));
 
   std::vector<std::unique_ptr<tcp::TcpSender>> senders;
   std::vector<std::unique_ptr<tcp::TcpSink>> sinks;
@@ -55,10 +56,10 @@ TEST(Smoke, EightOnOffSendersProduceTraffic) {
   for (std::size_t i = 0; i < cfg.pairs; ++i) {
     const sim::FlowId flow = 100 + i;
     senders.push_back(std::make_unique<tcp::TcpSender>(
-        d.scheduler(), d.sender(i), d.receiver(i).id(), flow,
+        d.scheduler(), *d.endpoint(i).tx, d.endpoint(i).rx->id(), flow,
         std::make_unique<tcp::Cubic>()));
     sinks.push_back(std::make_unique<tcp::TcpSink>(d.scheduler(),
-                                                   d.receiver(i), flow));
+                                                   *d.endpoint(i).rx, flow));
     tcp::OnOffConfig oc;
     oc.mean_on_bytes = 100e3;
     oc.mean_off_s = 0.5;
@@ -77,7 +78,7 @@ TEST(Smoke, EightOnOffSendersProduceTraffic) {
     EXPECT_LT(a->throughput_bps(), cfg.bottleneck_rate * 1.01);
   }
   EXPECT_GT(total_conns, 100);
-  EXPECT_GT(d.monitor().utilization_series().mean(), 0.05);
+  EXPECT_GT(d.path_monitor(0).utilization_series().mean(), 0.05);
 }
 
 }  // namespace

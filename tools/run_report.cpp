@@ -149,10 +149,9 @@ int main(int argc, char** argv) {
         sim::Scheduler* sched = &live.topology->scheduler();
         server = std::make_unique<core::ContextServer>(
             core::ContextServerConfig{}, [sched] { return sched->now(); });
-        if (live.dumbbell != nullptr) {
-          server->set_path_capacity(
-              kPath, live.dumbbell->config().bottleneck_rate);
-        }
+        if (std::holds_alternative<sim::DumbbellConfig>(spec.topology))
+          server->set_path_capacity(kPath,
+                                    live.topology->path_link(0).rate());
         core::RecommendationTable table;
         tcp::CubicParams tuned;
         tuned.window_init = 8;

@@ -37,8 +37,8 @@ int list_presets() {
   std::printf("available scenario presets:\n\n");
   for (const auto& p : core::presets::registry()) {
     std::printf("  %-22s [%s, %zu senders]  %s\n", p.name.c_str(),
-                sim::topology_class(p.spec.topology), p.spec.sender_count(),
-                p.summary.c_str());
+                sim::topology_shape(p.spec.topology).klass,
+                p.spec.sender_count(), p.summary.c_str());
   }
   std::printf(
       "\nrun one with: run_scenario <preset> [key=value ...] [--runs N]\n"
@@ -149,10 +149,9 @@ int main(int argc, char** argv) {
 
   bench::phase("setup");
   bench::banner(("Scenario driver: " + name).c_str());
-  std::printf("topology %s, %zu senders, %zu path(s), %d repetition(s)\n",
-              sim::topology_class(spec.topology), spec.sender_count(),
-              sim::path_count(spec.topology), runs);
   const sim::TopologyShape shape = sim::topology_shape(spec.topology);
+  std::printf("topology %s, %zu senders, %zu path(s), %d repetition(s)\n",
+              shape.klass, spec.sender_count(), shape.paths, runs);
   std::printf("shape: %zu node(s), %zu link(s), %zu endpoint(s), "
               "%zu monitored path(s)\n",
               shape.nodes, shape.links, shape.endpoints, shape.paths);

@@ -93,12 +93,11 @@ int main(int argc, char** argv) {
   const auto metrics = core::run_scenario_with_setup(
       spec, [](std::size_t) { return std::make_unique<tcp::Cubic>(); },
       [&](core::LiveScenario& live) -> core::AdvisorFactory {
-        sim::Scheduler* sched = &live.dumbbell->scheduler();
+        sim::Scheduler* sched = &live.topology->scheduler();
         server = std::make_unique<core::ContextServer>(
             core::ContextServerConfig{},
             [sched] { return sched->now(); });
-        server->set_path_capacity(kPath,
-                                  live.dumbbell->config().bottleneck_rate);
+        server->set_path_capacity(kPath, live.topology->path_link(0).rate());
         core::FaultConfig fc;
         fc.drop_lookup = 0.02;
         fc.drop_report = 0.02;
