@@ -15,10 +15,12 @@
 //     report is absorbed exactly once.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "phi/context.hpp"
 #include "tcp/cc.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace phi::core {
@@ -54,6 +56,28 @@ struct LookupReply {
   std::uint64_t span_bind = 0;
 };
 
+/// The exact identity of a numbered report: the key of the server's
+/// recently-seen set. Compared field by field, so two distinct identities
+/// never alias, however their hashes fall.
+struct ReportId {
+  std::uint64_t sender_id = 0;
+  std::uint64_t epoch = 0;
+  std::uint32_t seq = 0;
+
+  bool operator==(const ReportId&) const = default;
+};
+
+/// splitmix64 chained over the fields, so consecutive sender ids and
+/// epochs spread over the whole table.
+struct ReportIdHash {
+  std::size_t operator()(const ReportId& id) const noexcept {
+    std::uint64_t s = id.sender_id;
+    s = util::splitmix64(s) ^ id.epoch;
+    s = util::splitmix64(s) ^ id.seq;
+    return static_cast<std::size_t>(util::splitmix64(s));
+  }
+};
+
 /// Sender -> server, at connection end: "when and how much data was
 /// transferred" plus the delay/loss the connection experienced — exactly
 /// the inputs §2.2.2 says enable estimating u, n and q.
@@ -87,15 +111,7 @@ struct Report {
   std::uint64_t bind = 0;
 
   bool has_report_id() const noexcept { return epoch != 0; }
-  /// 64-bit key of (sender_id, epoch, seq) for the recently-seen set.
-  /// Mixes the fields so distinct identities collide no more often than a
-  /// random 64-bit hash would.
-  std::uint64_t report_key() const noexcept {
-    std::uint64_t h = sender_id;
-    h ^= epoch + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    h ^= seq + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    return h;
-  }
+  ReportId report_id() const noexcept { return {sender_id, epoch, seq}; }
 
   double duration_s() const noexcept {
     return util::to_seconds(ended - started);
