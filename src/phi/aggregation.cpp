@@ -1,5 +1,6 @@
 #include "phi/aggregation.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace phi::core {
@@ -65,15 +66,23 @@ void AggregatorServer::flush() {
   if (queue_.reports.empty() && queue_.lookups.empty()) return;
   ++flushes_;
   ctr_flushes_->add(1);
-  in_flight_.push_back(std::move(queue_));
-  queue_ = Batch{};
+  if (in_flight_ == ring_.size()) {
+    // Full: lay the ring out in FIFO order from slot 0, then add a slot.
+    std::rotate(ring_.begin(),
+                ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                ring_.end());
+    head_ = 0;
+    ring_.emplace_back();
+  }
+  // The free slot holds a cleared batch: it becomes the next queue_.
+  std::swap(queue_, ring_[(head_ + in_flight_) % ring_.size()]);
+  ++in_flight_;
   // All batches share one uplink delay, so FIFO delivery order holds.
   sched_.schedule_in(cfg_.uplink_delay, [this] { deliver(); });
 }
 
 void AggregatorServer::deliver() {
-  Batch b = std::move(in_flight_.front());
-  in_flight_.pop_front();
+  Batch& b = ring_[head_];
   for (const Report& r : b.reports) {
     parent_.report(r);
     ++forwarded_;
@@ -86,6 +95,10 @@ void AggregatorServer::deliver() {
     ++forwarded_;
   }
   ctr_forwarded_->add(b.reports.size() + b.lookups.size());
+  b.reports.clear();
+  b.lookups.clear();
+  head_ = (head_ + 1) % ring_.size();
+  --in_flight_;
 }
 
 CongestionContext AggregatorServer::context(PathKey path) const {

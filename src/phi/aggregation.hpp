@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -99,7 +98,13 @@ class AggregatorServer : public ContextService, public ContextSource {
   ContextService& parent_;
   AggregatorConfig cfg_;
   Batch queue_;
-  std::deque<Batch> in_flight_;  ///< flushed, not yet delivered (FIFO)
+  /// Flushed, not yet delivered batches: `in_flight_` slots of the ring
+  /// from `head_` on, in FIFO order. Delivered slots are cleared in place
+  /// (their vectors keep their capacity) and swapped back in as the next
+  /// queue_, so a warm aggregator flushes without allocating.
+  std::vector<Batch> ring_;
+  std::size_t head_ = 0;
+  std::size_t in_flight_ = 0;
   std::unordered_map<PathKey, Snapshot> cache_;
   sim::EventId pending_flush_ = 0;
   std::uint64_t lookups_ = 0;
